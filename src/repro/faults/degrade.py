@@ -70,7 +70,6 @@ class DegradedTopology:
         self.offline_mcs: FrozenSet[int] = plan.offline_mcs()
         self.mc_throttle: Dict[int, float] = plan.mc_throttles()
         self.offline_banks: FrozenSet[int] = plan.offline_banks()
-        self._route_cache: Dict[Tuple[int, int], List[Link]] = {}
         self._cost_cache: Dict[int, List[float]] = {}
 
     # ------------------------------------------------------------------
@@ -99,16 +98,13 @@ class DegradedTopology:
 
         The X-Y route when healthy; otherwise a deterministic Dijkstra
         detour over the healthy links.  Raises :class:`FaultPlanError`
-        when no healthy path exists.
+        when no healthy path exists.  Not memoized here: each network
+        calls it once per ``(src, dst)`` and keeps the result in its
+        route table.
         """
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
         links = xy_links(self.mesh, src, dst)
         if self.down and any(link in self.down for link in links):
             links = self._detour(src, dst)
-        self._route_cache[key] = links
         return links
 
     def _detour(self, src: int, dst: int) -> List[Link]:

@@ -19,13 +19,16 @@ check the analytic model tracks it on random traffic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from .network import BaseNetwork
+from .network import BaseNetwork, Path
 from .packet import Packet
-from .routing import xy_links
 
 _MAX_RHO = 0.95
+
+_NEVER = -(1 << 62)
+"""Window index of a link that has carried nothing yet: the first packet
+closes this empty window, so the link starts with zero utilization."""
 
 
 class AnalyticNetwork(BaseNetwork):
@@ -42,58 +45,89 @@ class AnalyticNetwork(BaseNetwork):
         if window < 1:
             raise ValueError("window must be positive")
         self.window = window
-        # Per link: (window index, flits accumulated in that window,
-        #            utilization of the previous window).
-        self._link_state: Dict[Tuple[int, int], Tuple[int, int, float]] = {}
+        self._clear_windows()
 
-    def _utilization(self, link: Tuple[int, int], time: int, flits: int) -> float:
-        """Record ``flits`` on ``link`` at ``time``; return recent utilization."""
-        widx = time // self.window
-        cur_idx, cur_flits, prev_rho = self._link_state.get(link, (widx, 0, 0.0))
-        if widx > cur_idx:
-            # Close the finished window; windows with no traffic in between
-            # mean the previous utilization has decayed to zero.
-            prev_rho = cur_flits / self.window if widx == cur_idx + 1 else 0.0
-            cur_idx, cur_flits = widx, 0
-        cur_flits += flits
-        self._link_state[link] = (cur_idx, cur_flits, prev_rho)
-        # Blend the closed window with the partially filled current one.
-        partial = min(1.0, cur_flits / self.window)
-        rho = max(prev_rho, partial)
-        return min(rho, _MAX_RHO)
+    def _clear_windows(self) -> None:
+        # Per link id: index of the current window, flits accumulated in
+        # it, and the utilization of the window before it.
+        num_links = len(self.links)
+        self._window_index: List[int] = [_NEVER] * num_links
+        self._window_flits: List[int] = [0] * num_links
+        self._prev_rho: List[float] = [0.0] * num_links
 
-    def _transfer(
-        self,
-        packet: Packet,
-        hops: int,
-        links: Optional[List[Tuple[int, int]]] = None,
-    ) -> Tuple[int, int]:
-        faults = self.faults
-        if links is None:
-            links = xy_links(self.mesh, packet.src, packet.dst)
-        self._record_links(links, packet.num_flits)
-        if faults is None:
-            base = hops * (self.router_delay + 1) + (packet.num_flits - 1)
-            queueing = 0.0
-            for link in links:
-                rho = self._utilization(link, packet.inject_time, packet.num_flits)
-                queueing += rho * packet.num_flits / (2.0 * (1.0 - rho))
+    def _transfer(self, packet: Packet, path: Path) -> Tuple[int, int]:
+        # Each link records the packet's flits in the window of its inject
+        # time and samples rho = max(previous window's utilization, the
+        # current window's so far), capped at _MAX_RHO.  A finished window
+        # closes when a later one is touched; windows with no traffic in
+        # between mean the previous utilization has decayed to zero.  (The
+        # current window's share needs no cap at 1.0 of its own: anything
+        # above the final cap is clamped to it either way.)
+        flits = packet.num_flits
+        window = self.window
+        widx = packet.inject_time // window
+        window_index = self._window_index
+        window_flits = self._window_flits
+        prev_rho = self._prev_rho
+        hotspot = self._hotspot
+        queueing = 0.0
+        if hotspot is None:
+            base = len(path) * (self.router_delay + 1) + (flits - 1)
+            for i in path:
+                if widx > window_index[i]:
+                    prev = (
+                        window_flits[i] / window
+                        if widx == window_index[i] + 1 else 0.0
+                    )
+                    window_index[i] = widx
+                    prev_rho[i] = prev
+                    current = flits
+                else:
+                    prev = prev_rho[i]
+                    current = window_flits[i] + flits
+                window_flits[i] = current
+                rho = current / window
+                if prev > rho:
+                    rho = prev
+                if rho > _MAX_RHO:
+                    rho = _MAX_RHO
+                queueing += rho * flits / (2.0 * (1.0 - rho))
         else:
             # Hotspot routers lengthen the pipeline term per hop; throttled
             # links inflate both the utilization sample and the service time
             # in the M/D/1 numerator, mirroring the wormhole model's longer
             # link reservation.
-            extra = faults.router_extra
-            base = packet.num_flits - 1
-            queueing = 0.0
-            for link in links:
-                base += self.router_delay + 1 + extra.get(link[0], 0)
-                service = faults.link_service_flits(link, packet.num_flits)
-                rho = self._utilization(link, packet.inject_time, service)
+            faults = self.faults
+            throttled = self._throttled
+            hop = self.router_delay + 1
+            base = flits - 1
+            for i in path:
+                base += hop + hotspot[i]
+                service = (
+                    faults.link_service_flits(self.links[i], flits)
+                    if throttled[i] else flits
+                )
+                if widx > window_index[i]:
+                    prev = (
+                        window_flits[i] / window
+                        if widx == window_index[i] + 1 else 0.0
+                    )
+                    window_index[i] = widx
+                    prev_rho[i] = prev
+                    current = service
+                else:
+                    prev = prev_rho[i]
+                    current = window_flits[i] + service
+                window_flits[i] = current
+                rho = current / window
+                if prev > rho:
+                    rho = prev
+                if rho > _MAX_RHO:
+                    rho = _MAX_RHO
                 queueing += rho * service / (2.0 * (1.0 - rho))
         wait = int(round(queueing))
         return packet.inject_time + base + wait, wait
 
     def reset(self) -> None:
-        self._link_state.clear()
+        self._clear_windows()
         self.reset_stats()

@@ -17,12 +17,15 @@ staying fast enough to drive 21-application sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .packet import Packet
 from .routing import xy_links
 from .topology import Mesh2D
+
+Link = Tuple[int, int]
+Path = Tuple[int, ...]
 
 
 @dataclass
@@ -61,17 +64,33 @@ class NetworkStats:
 
 
 class BaseNetwork:
-    """Common interface of the wormhole and analytic network models."""
+    """Common interface of the wormhole and analytic network models.
+
+    Links are numbered by their position in ``mesh.links()`` (see
+    :attr:`links`), and every per-link quantity the models keep lives in
+    a flat list indexed by that number.  The route table maps each
+    ``(src, dst)`` pair to the tuple of link indices a packet crosses; it
+    is filled on first use, from X-Y routing on a pristine mesh or from
+    :meth:`repro.faults.DegradedTopology.route` once :meth:`apply_faults`
+    attaches a plan, so each route is computed once per network.
+    """
 
     def __init__(self, mesh: Mesh2D, router_delay: int = 3, zero_latency: bool = False):
         self.mesh = mesh
         self.router_delay = router_delay
         self.zero_latency = zero_latency
         self.stats = NetworkStats()
+        self.links: Tuple[Link, ...] = tuple(mesh.links())
+        self._link_index: Dict[Link, int] = {
+            link: i for i, link in enumerate(self.links)
+        }
+        self._routes: Dict[Tuple[int, int], Path] = {}
         # Fault attachment (see apply_faults): a DegradedTopology, or None
-        # for the pristine machine.  The pristine per-packet path pays one
-        # ``is None`` predicate, nothing more.
+        # for the pristine machine, plus its per-link hotspot cycles (of
+        # the link's upstream router) and throttle flags.
         self.faults = None
+        self._hotspot: Optional[List[int]] = None
+        self._throttled: Optional[List[bool]] = None
         # Telemetry attachment (see set_telemetry); all None when disabled
         # so the per-packet fast path pays one predicate, nothing more.
         self.telemetry = None
@@ -85,8 +104,32 @@ class BaseNetwork:
         With faults attached, routes come from the degraded topology
         (X-Y unless detouring around a downed link), hotspot routers add
         pipeline cycles, and throttled links stretch their occupancy.
+        The route table starts empty again, so a pair the plan cuts off
+        raises :class:`repro.faults.FaultPlanError` on its first packet.
         """
         self.faults = degraded
+        self._routes = {}
+        if degraded is None:
+            self._hotspot = None
+            self._throttled = None
+            return
+        extra = degraded.router_extra
+        self._hotspot = [extra.get(u, 0) for u, _ in self.links]
+        self._throttled = [link in degraded.link_throttle for link in self.links]
+
+    def path(self, src: int, dst: int) -> Path:
+        """Indices into :attr:`links` of the links ``src`` -> ``dst`` crosses."""
+        path = self._routes.get((src, dst))
+        if path is None:
+            faults = self.faults
+            if faults is None:
+                links = xy_links(self.mesh, src, dst)
+            else:
+                # Detours around downed links may be longer than Manhattan.
+                links = faults.route(src, dst)
+            index = self._link_index
+            path = self._routes[(src, dst)] = tuple(index[link] for link in links)
+        return path
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.obs.Telemetry` hub (or None to detach).
@@ -105,61 +148,60 @@ class BaseNetwork:
         self._hist_latency = telemetry.histogram("noc.packet_latency")
         self._hist_hops = telemetry.histogram("noc.packet_hops")
 
-    def _record_links(self, links, flits: int) -> None:
-        """Add one packet's flits to every link it crosses (if observed)."""
-        spatial = self._spatial
-        if spatial is not None:
-            link_flits = spatial.link_flits
-            for link in links:
-                link_flits[link] = link_flits.get(link, 0) + flits
-
     def transfer(self, packet: Packet) -> int:
         """Deliver ``packet``; returns the cycle its tail arrives at ``dst``.
 
         Subclasses implement :meth:`_transfer`; this wrapper handles the
-        ideal (zero-latency) network used for the Figure 2 upper bound and
-        records statistics.
+        ideal (zero-latency) network used for the Figure 2 upper bound,
+        looks the route up, and records statistics.
         """
-        if self.zero_latency or packet.src == packet.dst:
+        src = packet.src
+        dst = packet.dst
+        if self.zero_latency or src == dst:
             # Local delivery (or the ideal network of Figure 2): the message
             # does not enter the mesh.
-            self.stats.record(latency=0, hops=0, flits=packet.num_flits, queueing=0)
+            self.stats.record(0, 0, packet.num_flits, 0)
             if self._hist_latency is not None:
                 self._hist_latency.record(0)
                 self._hist_hops.record(0)
             return packet.inject_time
-        faults = self.faults
-        if faults is None:
-            hops = self.mesh.node_distance(packet.src, packet.dst)
-            links = None
-        else:
-            # Detours around downed links may be longer than Manhattan.
-            links = faults.route(packet.src, packet.dst)
-            hops = len(links)
-        arrival, queueing = self._transfer(packet, hops, links)
+        path = self._routes.get((src, dst))
+        if path is None:
+            path = self.path(src, dst)
+        spatial = self._spatial
+        if spatial is not None:
+            # Observed runs add the packet's flits to every link it crosses.
+            link_flits = spatial.link_flits
+            for i in path:
+                link = self.links[i]
+                link_flits[link] = link_flits.get(link, 0) + packet.num_flits
+        arrival, queueing = self._transfer(packet, path)
         latency = arrival - packet.inject_time
-        self.stats.record(
-            latency=latency, hops=hops, flits=packet.num_flits, queueing=queueing
-        )
+        hops = len(path)
+        self.stats.record(latency, hops, packet.num_flits, queueing)
         if self._hist_latency is not None:
             self._hist_latency.record(latency)
             self._hist_hops.record(hops)
         return arrival
 
-    def _transfer(
-        self,
-        packet: Packet,
-        hops: int,
-        links: Optional[List[Tuple[int, int]]] = None,
-    ) -> Tuple[int, int]:
+    def _transfer(self, packet: Packet, path: Path) -> Tuple[int, int]:
+        """Time ``packet`` over ``path``; returns (arrival, queueing)."""
         raise NotImplementedError
 
     def uncontended_latency(self, src: int, dst: int, num_flits: int) -> int:
-        """Latency of a packet on an otherwise empty network."""
-        hops = self.mesh.node_distance(src, dst)
-        if hops == 0 or self.zero_latency:
+        """Latency of a packet on an otherwise empty network.
+
+        Every hop of the route costs the router pipeline, any hotspot
+        cycles of its upstream router, and one link cycle; the tail
+        follows the head by ``num_flits - 1`` cycles.
+        """
+        if src == dst or self.zero_latency:
             return 0
-        return hops * (self.router_delay + 1) + (num_flits - 1)
+        path = self.path(src, dst)
+        cycles = len(path) * (self.router_delay + 1) + (num_flits - 1)
+        if self._hotspot is not None:
+            cycles += sum(self._hotspot[i] for i in path)
+        return cycles
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
@@ -170,53 +212,53 @@ class WormholeNetwork(BaseNetwork):
 
     def __init__(self, mesh: Mesh2D, router_delay: int = 3, zero_latency: bool = False):
         super().__init__(mesh, router_delay, zero_latency)
-        self._link_free: Dict[Tuple[int, int], int] = {}
+        # Per link id: the cycle the link's last reservation ends.
+        self._link_free: List[int] = [0] * len(self.links)
 
-    def _transfer(
-        self,
-        packet: Packet,
-        hops: int,
-        links: Optional[List[Tuple[int, int]]] = None,
-    ) -> Tuple[int, int]:
-        faults = self.faults
-        if links is None:
-            links = xy_links(self.mesh, packet.src, packet.dst)
-        self._record_links(links, packet.num_flits)
+    def _transfer(self, packet: Packet, path: Path) -> Tuple[int, int]:
+        flits = packet.num_flits
+        delay = self.router_delay
+        link_free = self._link_free
+        hotspot = self._hotspot
         head = packet.inject_time
         queueing = 0
-        if faults is None:
-            for link in links:
+        if hotspot is None:
+            for i in path:
                 # Router pipeline at the upstream node, then wait for the link.
-                ready = head + self.router_delay
-                free_at = self._link_free.get(link, 0)
+                ready = head + delay
+                free_at = link_free[i]
                 if free_at > ready:
                     queueing += free_at - ready
                     ready = free_at
                 # Head flit crosses in one cycle; the link then carries the
                 # rest of the worm, one flit per cycle.
                 head = ready + 1
-                self._link_free[link] = ready + packet.num_flits
+                link_free[i] = ready + flits
         else:
-            extra = faults.router_extra
-            for link in links:
+            faults = self.faults
+            throttled = self._throttled
+            for i in path:
                 # Hotspot routers add pipeline cycles at the upstream node;
                 # throttled links carry the worm below one flit per cycle,
                 # so they stay reserved proportionally longer.
-                ready = head + self.router_delay + extra.get(link[0], 0)
-                free_at = self._link_free.get(link, 0)
+                ready = head + delay + hotspot[i]
+                free_at = link_free[i]
                 if free_at > ready:
                     queueing += free_at - ready
                     ready = free_at
                 head = ready + 1
-                self._link_free[link] = ready + faults.link_service_flits(
-                    link, packet.num_flits
-                )
+                if throttled[i]:
+                    link_free[i] = ready + faults.link_service_flits(
+                        self.links[i], flits
+                    )
+                else:
+                    link_free[i] = ready + flits
         # Tail arrives (num_flits - 1) cycles after the head.
-        return head + packet.num_flits - 1, queueing
+        return head + flits - 1, queueing
 
-    def link_busy_until(self, link: Tuple[int, int]) -> int:
-        return self._link_free.get(link, 0)
+    def link_busy_until(self, link: Link) -> int:
+        return self._link_free[self._link_index[link]]
 
     def reset(self) -> None:
-        self._link_free.clear()
+        self._link_free = [0] * len(self.links)
         self.reset_stats()

@@ -9,6 +9,7 @@ matrix (:mod:`.test_fault_matrix`) then checks end to end in simulation.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.snuca import LLCOrganization
@@ -18,7 +19,10 @@ from repro.core.mapping import (
     SetAffinity,
 )
 from repro.core.regions import RegionPartition
-from repro.faults import DegradedTopology, FaultPlan
+from repro.faults import DegradedTopology, FaultPlan, FaultPlanError
+from repro.noc.analytic import AnalyticNetwork
+from repro.noc.network import WormholeNetwork
+from repro.noc.packet import Packet
 from repro.noc.topology import Mesh2D
 
 # Geometries small enough to explore exhaustively but wide enough to have
@@ -85,6 +89,31 @@ def test_single_faults_never_crash_and_routes_arrive(mesh_plan, data):
         topo.distance_units(src, dst)
         >= mesh.node_distance(src, dst) - 1e-9
     )
+    # Both network models route through their tables exactly as the
+    # degraded topology does.
+    for model in (AnalyticNetwork, WormholeNetwork):
+        net = model(mesh)
+        net.apply_faults(topo)
+        assert [net.links[i] for i in net.path(src, dst)] == route
+        net.transfer(Packet.request(src, dst, time=0))
+        assert net.stats.total_hops == len(route)
+
+
+@pytest.mark.parametrize("model", [AnalyticNetwork, WormholeNetwork])
+def test_disconnecting_plan_raises_on_first_packet_not_at_attach(model):
+    # Cut all four links around the (0, 0) corner node.
+    mesh = Mesh2D(6, 6)
+    plan = FaultPlan.parse([
+        "link:0,0->1,0:down", "link:1,0->0,0:down",
+        "link:0,0->0,1:down", "link:0,1->0,0:down",
+    ])
+    net = model(mesh)
+    net.apply_faults(DegradedTopology(mesh, plan))  # the table fills lazily
+    assert net.transfer(Packet.request(7, 9, time=0)) > 0
+    for _ in range(2):  # a failed route is not cached
+        with pytest.raises(FaultPlanError):
+            net.transfer(Packet.request(0, 3, time=0))
+    assert net.stats.packets == 1
 
 
 @st.composite

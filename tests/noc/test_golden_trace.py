@@ -133,5 +133,5 @@ def test_golden_digest(model, plan):
 
 
 if __name__ == "__main__":  # pragma: no cover - re-pinning helper
-    for key in sorted(GOLDEN):
-        print(f"    {key!r}: {run_digest(*key)!r},")
+    for model, plan in sorted(GOLDEN):
+        print(f'    ("{model}", "{plan}"):\n        "{run_digest(model, plan)}",')

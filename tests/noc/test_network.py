@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import DegradedTopology, FaultPlan
 from repro.noc.analytic import AnalyticNetwork
 from repro.noc.network import WormholeNetwork
 from repro.noc.packet import (
@@ -93,6 +94,37 @@ class TestWormholeContention:
         pkt = Packet.data_response(0, 35, time=7, line_bytes=64)
         assert net.transfer(pkt) == 7
         assert net.stats.avg_latency == 0.0
+
+
+class TestUncontendedLatency:
+    DETOUR_PLAN = ("link:2,2->3,2:down", "router:2,2:hotspot=+8cyc")
+
+    @pytest.mark.parametrize("model", [AnalyticNetwork, WormholeNetwork])
+    @pytest.mark.parametrize("specs", [None, DETOUR_PLAN])
+    def test_fresh_transfer_matches_every_pair(self, model, specs):
+        topo = None
+        if specs is not None:
+            topo = DegradedTopology(MESH, FaultPlan.parse(specs))
+        for src in MESH.nodes():
+            for dst in MESH.nodes():
+                for flits in (1, 5):
+                    net = model(MESH, router_delay=3)
+                    net.apply_faults(topo)
+                    pkt = Packet(src, dst, MessageKind.CONTROL, flits, 100)
+                    latency = net.transfer(pkt) - 100
+                    assert latency == net.uncontended_latency(src, dst, flits)
+
+    @pytest.mark.parametrize("model", [AnalyticNetwork, WormholeNetwork])
+    def test_counts_the_detour(self, model):
+        # Node 12 -> 17 runs along row 2 through the downed link; the
+        # detour takes 7 hops instead of 5.
+        net = model(MESH, router_delay=3)
+        assert net.uncontended_latency(12, 17, 1) == 20
+        net.apply_faults(
+            DegradedTopology(MESH, FaultPlan.parse(["link:2,2->3,2:down"]))
+        )
+        assert net.uncontended_latency(12, 17, 1) == 28
+        assert net.transfer(Packet.request(12, 17, time=0)) == 28
 
 
 class TestAnalytic:

@@ -1,7 +1,10 @@
 """X-Y routing: path shape, hop counts, dimension order."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.noc.analytic import AnalyticNetwork
+from repro.noc.network import WormholeNetwork
 from repro.noc.routing import hop_count, path_coords, xy_links, xy_path
 from repro.noc.topology import Mesh2D
 
@@ -67,3 +70,18 @@ def test_xy_asymmetry():
     fwd = set(xy_links(MESH, a, b))
     rev = {(v, u) for (u, v) in xy_links(MESH, b, a)}
     assert fwd != rev  # the turns happen at different corners
+
+
+@pytest.mark.parametrize("model", [AnalyticNetwork, WormholeNetwork])
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 6), (4, 6), (6, 6), (8, 8)])
+def test_route_table_is_xy(model, width, height):
+    """Every route-table path maps back to the X-Y links, Manhattan long."""
+    mesh = Mesh2D(width, height)
+    net = model(mesh)
+    assert list(net.links) == mesh.links()
+    for src in mesh.nodes():
+        for dst in mesh.nodes():
+            path = net.path(src, dst)
+            assert [net.links[i] for i in path] == xy_links(mesh, src, dst)
+            assert len(path) == mesh.node_distance(src, dst)
+            assert net.path(src, dst) is path  # filled once, then reused
