@@ -69,9 +69,9 @@ class AnalyticNetwork(BaseNetwork):
         window_index = self._window_index
         window_flits = self._window_flits
         prev_rho = self._prev_rho
-        hotspot = self._hotspot
+        faults = self.faults
         queueing = 0.0
-        if hotspot is None:
+        if faults is None:
             base = len(path) * (self.router_delay + 1) + (flits - 1)
             for i in path:
                 if widx > window_index[i]:
@@ -97,7 +97,7 @@ class AnalyticNetwork(BaseNetwork):
             # links inflate both the utilization sample and the service time
             # in the M/D/1 numerator, mirroring the wormhole model's longer
             # link reservation.
-            faults = self.faults
+            hotspot = self._hotspot
             throttled = self._throttled
             hop = self.router_delay + 1
             base = flits - 1

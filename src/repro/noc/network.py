@@ -18,11 +18,14 @@ staying fast enough to drive 21-application sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .packet import Packet
 from .routing import xy_links
 from .topology import Mesh2D
+
+if TYPE_CHECKING:
+    from repro.faults import DegradedTopology
 
 Link = Tuple[int, int]
 Path = Tuple[int, ...]
@@ -84,13 +87,7 @@ class BaseNetwork:
         self._link_index: Dict[Link, int] = {
             link: i for i, link in enumerate(self.links)
         }
-        self._routes: Dict[Tuple[int, int], Path] = {}
-        # Fault attachment (see apply_faults): a DegradedTopology, or None
-        # for the pristine machine, plus its per-link hotspot cycles (of
-        # the link's upstream router) and throttle flags.
-        self.faults = None
-        self._hotspot: Optional[List[int]] = None
-        self._throttled: Optional[List[bool]] = None
+        self.apply_faults(None)
         # Telemetry attachment (see set_telemetry); all None when disabled
         # so the per-packet fast path pays one predicate, nothing more.
         self.telemetry = None
@@ -98,7 +95,7 @@ class BaseNetwork:
         self._hist_latency = None
         self._hist_hops = None
 
-    def apply_faults(self, degraded) -> None:
+    def apply_faults(self, degraded: Optional[DegradedTopology]) -> None:
         """Attach a :class:`repro.faults.DegradedTopology` (or None).
 
         With faults attached, routes come from the degraded topology
@@ -108,14 +105,13 @@ class BaseNetwork:
         raises :class:`repro.faults.FaultPlanError` on its first packet.
         """
         self.faults = degraded
-        self._routes = {}
-        if degraded is None:
-            self._hotspot = None
-            self._throttled = None
-            return
-        extra = degraded.router_extra
-        self._hotspot = [extra.get(u, 0) for u, _ in self.links]
-        self._throttled = [link in degraded.link_throttle for link in self.links]
+        self._routes: Dict[Tuple[int, int], Path] = {}
+        extra = degraded.router_extra if degraded is not None else {}
+        throttle = degraded.link_throttle if degraded is not None else {}
+        # Per link id: hotspot cycles of its upstream router, and whether
+        # it is throttled (0 and False everywhere on a pristine machine).
+        self._hotspot: List[int] = [extra.get(u, 0) for u, _ in self.links]
+        self._throttled: List[bool] = [link in throttle for link in self.links]
 
     def path(self, src: int, dst: int) -> Path:
         """Indices into :attr:`links` of the links ``src`` -> ``dst`` crosses."""
@@ -198,10 +194,12 @@ class BaseNetwork:
         if src == dst or self.zero_latency:
             return 0
         path = self.path(src, dst)
-        cycles = len(path) * (self.router_delay + 1) + (num_flits - 1)
-        if self._hotspot is not None:
-            cycles += sum(self._hotspot[i] for i in path)
-        return cycles
+        hotspot = self._hotspot
+        return (
+            len(path) * (self.router_delay + 1)
+            + sum(hotspot[i] for i in path)
+            + (num_flits - 1)
+        )
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
@@ -219,10 +217,10 @@ class WormholeNetwork(BaseNetwork):
         flits = packet.num_flits
         delay = self.router_delay
         link_free = self._link_free
-        hotspot = self._hotspot
+        faults = self.faults
         head = packet.inject_time
         queueing = 0
-        if hotspot is None:
+        if faults is None:
             for i in path:
                 # Router pipeline at the upstream node, then wait for the link.
                 ready = head + delay
@@ -235,7 +233,7 @@ class WormholeNetwork(BaseNetwork):
                 head = ready + 1
                 link_free[i] = ready + flits
         else:
-            faults = self.faults
+            hotspot = self._hotspot
             throttled = self._throttled
             for i in path:
                 # Hotspot routers add pipeline cycles at the upstream node;
