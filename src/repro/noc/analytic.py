@@ -70,61 +70,39 @@ class AnalyticNetwork(BaseNetwork):
         window_flits = self._window_flits
         prev_rho = self._prev_rho
         faults = self.faults
+        # Hotspot routers lengthen the pipeline term per hop; throttled
+        # links inflate both the utilization sample and the service time
+        # in the M/D/1 numerator, mirroring the wormhole model's longer
+        # link reservation.  Both lists are all zero/False without faults.
+        hotspot = self._hotspot
+        throttled = self._throttled
+        hop = self.router_delay + 1
+        base = flits - 1
         queueing = 0.0
-        if faults is None:
-            base = len(path) * (self.router_delay + 1) + (flits - 1)
-            for i in path:
-                if widx > window_index[i]:
-                    prev = (
-                        window_flits[i] / window
-                        if widx == window_index[i] + 1 else 0.0
-                    )
-                    window_index[i] = widx
-                    prev_rho[i] = prev
-                    current = flits
-                else:
-                    prev = prev_rho[i]
-                    current = window_flits[i] + flits
-                window_flits[i] = current
-                rho = current / window
-                if prev > rho:
-                    rho = prev
-                if rho > _MAX_RHO:
-                    rho = _MAX_RHO
-                queueing += rho * flits / (2.0 * (1.0 - rho))
-        else:
-            # Hotspot routers lengthen the pipeline term per hop; throttled
-            # links inflate both the utilization sample and the service time
-            # in the M/D/1 numerator, mirroring the wormhole model's longer
-            # link reservation.
-            hotspot = self._hotspot
-            throttled = self._throttled
-            hop = self.router_delay + 1
-            base = flits - 1
-            for i in path:
-                base += hop + hotspot[i]
-                service = (
-                    faults.link_service_flits(self.links[i], flits)
-                    if throttled[i] else flits
+        for i in path:
+            base += hop + hotspot[i]
+            service = flits
+            if throttled[i]:
+                assert faults is not None  # only a plan throttles links
+                service = faults.link_service_flits(self.links[i], flits)
+            if widx > window_index[i]:
+                prev = (
+                    window_flits[i] / window
+                    if widx == window_index[i] + 1 else 0.0
                 )
-                if widx > window_index[i]:
-                    prev = (
-                        window_flits[i] / window
-                        if widx == window_index[i] + 1 else 0.0
-                    )
-                    window_index[i] = widx
-                    prev_rho[i] = prev
-                    current = service
-                else:
-                    prev = prev_rho[i]
-                    current = window_flits[i] + service
-                window_flits[i] = current
-                rho = current / window
-                if prev > rho:
-                    rho = prev
-                if rho > _MAX_RHO:
-                    rho = _MAX_RHO
-                queueing += rho * service / (2.0 * (1.0 - rho))
+                window_index[i] = widx
+                prev_rho[i] = prev
+                current = service
+            else:
+                prev = prev_rho[i]
+                current = window_flits[i] + service
+            window_flits[i] = current
+            rho = current / window
+            if prev > rho:
+                rho = prev
+            if rho > _MAX_RHO:
+                rho = _MAX_RHO
+            queueing += rho * service / (2.0 * (1.0 - rho))
         wait = int(round(queueing))
         return packet.inject_time + base + wait, wait
 

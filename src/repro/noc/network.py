@@ -219,38 +219,26 @@ class WormholeNetwork(BaseNetwork):
         link_free = self._link_free
         faults = self.faults
         head = packet.inject_time
+        hotspot = self._hotspot
+        throttled = self._throttled
         queueing = 0
-        if faults is None:
-            for i in path:
-                # Router pipeline at the upstream node, then wait for the link.
-                ready = head + delay
-                free_at = link_free[i]
-                if free_at > ready:
-                    queueing += free_at - ready
-                    ready = free_at
-                # Head flit crosses in one cycle; the link then carries the
-                # rest of the worm, one flit per cycle.
-                head = ready + 1
-                link_free[i] = ready + flits
-        else:
-            hotspot = self._hotspot
-            throttled = self._throttled
-            for i in path:
-                # Hotspot routers add pipeline cycles at the upstream node;
-                # throttled links carry the worm below one flit per cycle,
-                # so they stay reserved proportionally longer.
-                ready = head + delay + hotspot[i]
-                free_at = link_free[i]
-                if free_at > ready:
-                    queueing += free_at - ready
-                    ready = free_at
-                head = ready + 1
-                if throttled[i]:
-                    link_free[i] = ready + faults.link_service_flits(
-                        self.links[i], flits
-                    )
-                else:
-                    link_free[i] = ready + flits
+        for i in path:
+            # Router pipeline (plus any hotspot cycles) at the upstream
+            # node, then wait for the link.
+            ready = head + delay + hotspot[i]
+            free_at = link_free[i]
+            if free_at > ready:
+                queueing += free_at - ready
+                ready = free_at
+            # Head flit crosses in one cycle; the link then carries the
+            # rest of the worm, one flit per cycle -- or below that on a
+            # throttled link, which stays reserved proportionally longer.
+            head = ready + 1
+            service = flits
+            if throttled[i]:
+                assert faults is not None  # only a plan throttles links
+                service = faults.link_service_flits(self.links[i], flits)
+            link_free[i] = ready + service
         # Tail arrives (num_flits - 1) cycles after the head.
         return head + flits - 1, queueing
 

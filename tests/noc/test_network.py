@@ -1,5 +1,7 @@
 """Wormhole + analytic network models: latency, contention, stats."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from repro.noc.packet import (
 from repro.noc.topology import Mesh2D
 
 MESH = Mesh2D(6, 6)
+DETOUR_PLAN = ("link:2,2->3,2:down", "router:2,2:hotspot=+8cyc")
 
 
 class TestPacket:
@@ -58,12 +61,21 @@ class TestWormholeUncontended:
         assert arrival == 4 + 4  # head at 4, tail 4 cycles later
 
     def test_matches_uncontended_formula(self):
-        net = WormholeNetwork(MESH, router_delay=3)
-        for src, dst, flits in [(0, 35, 1), (3, 20, 5), (12, 13, 2)]:
+        # A fresh network delivers in exactly uncontended_latency, for
+        # every pair on both models, pristine and under a plan whose
+        # detours are longer than Manhattan (12 -> 17 takes 7 hops, not
+        # 5) and cross a hotspot router.
+        detour = DegradedTopology(MESH, FaultPlan.parse(DETOUR_PLAN))
+        cases = itertools.product(
+            (AnalyticNetwork, WormholeNetwork), (None, detour),
+            MESH.nodes(), MESH.nodes(), (1, 2, 5),
+        )
+        for model, topo, src, dst, flits in cases:
+            net = model(MESH, router_delay=3)
+            net.apply_faults(topo)
             expected = net.uncontended_latency(src, dst, flits)
-            pkt = Packet(src, dst, MessageKind.CONTROL, flits, 0)
-            assert net.transfer(pkt) == expected
-            net.reset()
+            pkt = Packet(src, dst, MessageKind.CONTROL, flits, 100)
+            assert net.transfer(pkt) - 100 == expected, (model, topo, src, dst)
 
     def test_local_delivery_is_free(self):
         net = WormholeNetwork(MESH)
@@ -94,37 +106,6 @@ class TestWormholeContention:
         pkt = Packet.data_response(0, 35, time=7, line_bytes=64)
         assert net.transfer(pkt) == 7
         assert net.stats.avg_latency == 0.0
-
-
-class TestUncontendedLatency:
-    DETOUR_PLAN = ("link:2,2->3,2:down", "router:2,2:hotspot=+8cyc")
-
-    @pytest.mark.parametrize("model", [AnalyticNetwork, WormholeNetwork])
-    @pytest.mark.parametrize("specs", [None, DETOUR_PLAN])
-    def test_fresh_transfer_matches_every_pair(self, model, specs):
-        topo = None
-        if specs is not None:
-            topo = DegradedTopology(MESH, FaultPlan.parse(specs))
-        for src in MESH.nodes():
-            for dst in MESH.nodes():
-                for flits in (1, 5):
-                    net = model(MESH, router_delay=3)
-                    net.apply_faults(topo)
-                    pkt = Packet(src, dst, MessageKind.CONTROL, flits, 100)
-                    latency = net.transfer(pkt) - 100
-                    assert latency == net.uncontended_latency(src, dst, flits)
-
-    @pytest.mark.parametrize("model", [AnalyticNetwork, WormholeNetwork])
-    def test_counts_the_detour(self, model):
-        # Node 12 -> 17 runs along row 2 through the downed link; the
-        # detour takes 7 hops instead of 5.
-        net = model(MESH, router_delay=3)
-        assert net.uncontended_latency(12, 17, 1) == 20
-        net.apply_faults(
-            DegradedTopology(MESH, FaultPlan.parse(["link:2,2->3,2:down"]))
-        )
-        assert net.uncontended_latency(12, 17, 1) == 28
-        assert net.transfer(Packet.request(12, 17, time=0)) == 28
 
 
 class TestAnalytic:
