@@ -6,7 +6,7 @@ every artifact built and written) and a warm pass (fresh in-process LRU,
 every artifact replayed from disk).  Verifies the payloads are
 byte-identical and that the warm pass actually hit (no silent rebuild),
 then asserts the warm *compile phase* -- the worker-side ``compile``
-phase timer, which wraps compiler construction, CME estimation, affinity
+phase spans, which wrap compiler construction, CME estimation, affinity
 construction and proximity-table builds -- costs < 30% of the cold one.
 
 The measured point is appended, in the schema-versioned bench envelope,
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from repro.compile import reset_compile_cache
 from repro.exec import run_sweep, sweep_matrix, sweep_tracer
-from repro.obs import append_bench, config_hash, package_version
+from repro.obs import append_bench, config_hash, package_version, phase_table
 from repro.sim.config import DEFAULT_CONFIG
 from repro.workloads import SUITE_ORDER
 
@@ -41,7 +41,7 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.4"))
 def _traced_sweep(cells):
     tracer = sweep_tracer(cells)
     result = run_sweep(cells, workers=1, tracer=tracer)
-    return result
+    return result, phase_table(tracer.spans)
 
 
 def test_warm_compile_phase_is_under_thirty_percent_of_cold():
@@ -54,9 +54,9 @@ def test_warm_compile_phase_is_under_thirty_percent_of_cold():
             compile_cache_dir=str(Path(tmp) / "compile"),
         )
         reset_compile_cache()  # cold pass starts from an empty LRU
-        cold = _traced_sweep(cells)
+        cold, cold_phases = _traced_sweep(cells)
         reset_compile_cache()  # warm pass replays from disk, not memory
-        warm = _traced_sweep(cells)
+        warm, warm_phases = _traced_sweep(cells)
         reset_compile_cache()  # don't leak the tmp store to other tests
 
     # A phase-time claim is only meaningful if the work really was equal
@@ -68,8 +68,8 @@ def test_warm_compile_phase_is_under_thirty_percent_of_cold():
     assert warm_totals["misses"] == 0, "warm pass rebuilt artifacts"
     assert warm_totals["hits"] > 0
 
-    cold_compile = cold.merged_phases()["compile"]["seconds"]
-    warm_compile = warm.merged_phases()["compile"]["seconds"]
+    cold_compile = cold_phases["compile"].seconds
+    warm_compile = warm_phases["compile"].seconds
     warm_fraction = warm_compile / cold_compile
 
     record = {

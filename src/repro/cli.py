@@ -500,10 +500,11 @@ def _profile_sweep(args) -> int:
     """``profile --workers N``: a traced one-app sweep, incl. worker time.
 
     The coordinator's own timers cannot see inside pool workers; the
-    tracer threads each worker's phase records back through the result
-    envelope, and ``SweepResult.merged_phases`` sums them per phase path.
+    workers' phase spans ride back to the coordinator tracer, and
+    :func:`repro.obs.phase_table` folds them per phase path.
     """
     from repro.exec import run_sweep, sweep_matrix, sweep_tracer
+    from repro.obs import phase_table
 
     cells = sweep_matrix(
         [args.app], _config(args), mappings=(args.mapping,),
@@ -511,7 +512,7 @@ def _profile_sweep(args) -> int:
     )
     tracer = sweep_tracer(cells)
     result = run_sweep(cells, workers=args.workers, tracer=tracer)
-    merged = result.merged_phases()
+    merged = phase_table(tracer.spans)
     pids = result.worker_pids()
     if args.json:
         payload = {
@@ -523,7 +524,7 @@ def _profile_sweep(args) -> int:
             "workers": args.workers,
             "trace_id": tracer.context.trace_id,
             "worker_pids": pids,
-            "phases": merged,
+            "phases": {path: rec.as_dict() for path, rec in merged.items()},
         }
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -533,8 +534,7 @@ def _profile_sweep(args) -> int:
     print()
     print_table(
         ["phase (worker-side)", "calls", "seconds"],
-        [[path, rec["calls"], rec["seconds"]]
-         for path, rec in merged.items()],
+        [[path, rec.calls, rec.seconds] for path, rec in merged.items()],
         title="merged worker phase profile",
         float_fmt="{:.4f}",
     )

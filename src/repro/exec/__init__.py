@@ -28,7 +28,6 @@ from .executor import (
     SweepResult,
     execute_cell,
     execute_cell_enveloped,
-    execute_cell_traced,
     run_sweep,
     sweep_table,
     sweep_tracer,
@@ -44,7 +43,6 @@ __all__ = [
     "SweepResult",
     "execute_cell",
     "execute_cell_enveloped",
-    "execute_cell_traced",
     "resolve_workload",
     "run_sweep",
     "sweep_matrix",

@@ -39,7 +39,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -91,11 +90,11 @@ def execute_cell(
     Must stay a module-level function: it is the picklable entry point
     ``ProcessPoolExecutor`` ships to workers.
 
-    ``telemetry`` optionally attaches an external hub (the traced
-    wrapper's, carrying a span tracer).  The payload is a function of
-    the cell alone: its ``obs`` section is gated on ``cell.collect_obs``,
-    never on whether a hub happened to be attached, so traced and
-    untraced executions of the same cell stay ``==``.
+    ``telemetry`` optionally attaches an external hub (a traced cell's,
+    carrying its span tracer).  The payload is a function of the cell
+    alone: its ``obs`` section is gated on ``cell.collect_obs``, never on
+    whether a hub happened to be attached, so traced and untraced
+    executions of the same cell stay ``==``.
     """
     # Configure the process compile cache first: the harness's "auto"
     # resolution then picks up the cell's on-disk store (if any).
@@ -171,60 +170,37 @@ def execute_cell_enveloped(cell: SweepCell) -> Dict[str, Any]:
     Returns ``{"payload": ..., "pid": ..., "compile_cache": {...}}``.  The
     payload member is exactly :func:`execute_cell`'s; the sidecar (worker
     pid, this cell's compile-cache traffic delta) never enters the result
-    cache, mirroring the traced wrapper's span/phase sidecar.
-    """
-    cache = _cell_compile_cache(cell)
-    before = cache.counter_snapshot()
-    payload = execute_cell(cell)
-    return {
-        "payload": payload,
-        "pid": os.getpid(),
-        "compile_cache": _counter_delta(before, cache.counter_snapshot()),
-    }
+    cache.
 
-
-def execute_cell_traced(cell: SweepCell) -> Dict[str, Any]:
-    """Traced twin of :func:`execute_cell`: payload + span/phase sidecar.
-
-    Re-hydrates the :class:`TraceContext` the coordinator stamped on the
-    cell into a fresh in-process :class:`Tracer` (span ids stay
+    A cell carrying the :class:`TraceContext` a traced coordinator stamped
+    on it runs under a fresh in-process :class:`Tracer` (span ids stay
     deterministic: they derive from the trace id + the cell key scope,
-    never from this process's pid or clock), records the queue-wait and
-    attempt spans, attaches a telemetry hub so the harness's phase
-    timers become child spans and mapper/fault decision events become
-    instants, and returns everything in an envelope::
-
-        {"payload": <execute_cell payload>, "pid": ..., "spans": [...],
-         "phases": {path: {"seconds", "calls"}}}
-
-    The payload member is byte-identical to an untraced execution; the
-    sidecar members never enter the result cache.
+    never from this process's pid or clock): queue-wait and attempt
+    spans, the harness's phases as child spans and admitted decision
+    events as instants, returned as one more sidecar member, ``"spans"``.
     """
     ctx = cell.trace
-    if ctx is None:
-        key = cell.key()
-        ctx = TraceContext(trace_id=derive_trace_id([key]), scope=key)
-    tracer = Tracer(ctx)
-    if ctx.submitted_unix is not None:
-        tracer.interval(
-            "queue-wait", ctx.submitted_unix, time.time(), cat="executor"
-        )
-    telemetry = Telemetry(events=EventStream(level="decisions"))
-    telemetry.attach_tracer(tracer)
+    tracer = Tracer(ctx) if ctx is not None else Tracer.disabled()
+    telemetry = None
+    if tracer.enabled:
+        if ctx.submitted_unix is not None:
+            tracer.interval(
+                "queue-wait", ctx.submitted_unix, time.time(), cat="executor"
+            )
+        telemetry = Telemetry(events=EventStream(level="decisions"))
+        telemetry.attach_tracer(tracer)
     cache = _cell_compile_cache(cell)
     before = cache.counter_snapshot()
     with tracer.span("attempt", cat="executor", cell=cell.label()):
         payload = execute_cell(cell, telemetry=telemetry)
-    return {
+    envelope = {
         "payload": payload,
         "pid": os.getpid(),
         "compile_cache": _counter_delta(before, cache.counter_snapshot()),
-        "spans": tracer.to_dicts(),
-        "phases": {
-            path: {"seconds": round(rec.seconds, 6), "calls": rec.calls}
-            for path, rec in sorted(telemetry.phases.items())
-        },
     }
+    if tracer.enabled:
+        envelope["spans"] = tracer.to_dicts()
+    return envelope
 
 
 def sweep_tracer(cells: Sequence[SweepCell]) -> Tracer:
@@ -253,7 +229,6 @@ class CellResult:
     in_process: bool = False
     seconds: float = 0.0
     pid: Optional[int] = None
-    phases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     compile_cache: Dict[str, int] = field(default_factory=dict)
     """Compile-cache traffic this cell's execution contributed
     ("<kind>.<outcome>" deltas); empty for result-cache replays."""
@@ -278,36 +253,9 @@ class SweepResult:
         """key -> payload; the equivalence suite's comparison object."""
         return {r.key: r.payload for r in self.results}
 
-    def merged_phases(self) -> Dict[str, Dict[str, Any]]:
-        """Worker phase timers summed across cells (traced sweeps only).
-
-        This is the sweep-wide answer to ``repro profile``: where the
-        *workers'* wall time went (setup/compile/sim.cold/...), which the
-        coordinator's own timers cannot see.  Empty unless the sweep ran
-        with a tracer.
-        """
-        merged: Dict[str, Dict[str, Any]] = {}
-        seen = set()
-        for result in self.results:
-            if result.key in seen:
-                continue  # duplicate cells share one execution
-            seen.add(result.key)
-            for path, record in result.phases.items():
-                slot = merged.setdefault(
-                    path, {"seconds": 0.0, "calls": 0}
-                )
-                slot["seconds"] += float(record.get("seconds", 0.0))
-                slot["calls"] += int(record.get("calls", 0))
-        return {
-            path: {
-                "seconds": round(slot["seconds"], 6),
-                "calls": slot["calls"],
-            }
-            for path, slot in sorted(merged.items())
-        }
-
     def worker_pids(self) -> List[int]:
-        """Distinct pids that executed cells (traced sweeps only)."""
+        """Distinct pids that executed cells (result-cache replays have
+        none)."""
         return sorted({
             r.pid for r in self.results if r.pid is not None
         })
@@ -454,11 +402,11 @@ def run_sweep(
       ``cell.fallback`` / ``sweep.*`` decision events.
     * ``tracer`` -- a :class:`repro.obs.Tracer`: executor lifecycle spans
       (submit / queue-wait / attempt / retry-backoff / pool-rebuild /
-      cache-hit) are recorded in the coordinator, every cell executes
-      through the traced wrapper in its worker, and the workers' spans
-      and phase timers are merged back into the tracer and the
-      :class:`CellResult`\\ s.  ``None`` (the default) keeps every code
-      path byte-identical to the untraced executor.
+      cache-hit) are recorded in the coordinator, every cell carries a
+      trace context into its worker, and the workers' spans (phases and
+      decision events included) are merged back into the tracer; fold its
+      phases with :func:`repro.obs.phase_table`.  ``None`` (the default)
+      records into a disabled tracer, whose every method returns at once.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -466,8 +414,8 @@ def run_sweep(
         raise ValueError("max_retries must be >= 0")
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    if tracer is not None and not tracer.enabled:
-        tracer = None
+    if tracer is None:
+        tracer = Tracer.disabled()
 
     def emit(kind: str, **fields: Any) -> None:
         if events is not None:
@@ -487,24 +435,26 @@ def run_sweep(
     done_by_key: Dict[str, CellResult] = {}
     result = SweepResult(results=[], workers=workers)
 
-    root_cm = (
-        tracer.span(
-            "sweep", cat="executor", cells=len(cells), workers=workers
-        )
-        if tracer is not None
-        else nullcontext()
-    )
-    with root_cm as root_span:
+    with tracer.span(
+        "sweep", cat="executor", cells=len(cells), workers=workers
+    ) as root_span:
 
-        def traced(item: _Pending, submitted: bool) -> SweepCell:
-            """The cell with this attempt's trace context stamped on."""
+        def stamp(item: _Pending) -> SweepCell:
+            """The cell to submit; traced, with a ``submit`` instant
+            recorded and this attempt's trace context stamped on.  The
+            serial and pool paths both go through here, so a serial
+            sweep's span skeleton is identical to a parallel one."""
+            if not tracer.enabled:
+                return item.cell
+            tracer.instant(
+                "submit", cat="executor", scope=item.key,
+                cell=item.cell.label(), attempt=item.failures + 1,
+            )
             ctx = TraceContext(
                 trace_id=tracer.context.trace_id,
                 scope=item.key,
-                parent_span_id=(
-                    root_span.span_id if root_span is not None else None
-                ),
-                submitted_unix=time.time() if submitted else None,
+                parent_span_id=root_span.span_id,
+                submitted_unix=time.time(),
             )
             return dataclasses.replace(item.cell, trace=ctx)
 
@@ -518,11 +468,9 @@ def run_sweep(
             if cached is not None:
                 result.cache_hits += 1
                 emit("cache.hit", key=key, cell=cell.label())
-                if tracer is not None:
-                    tracer.instant(
-                        "cache-hit", cat="executor", scope=key,
-                        cell=cell.label(),
-                    )
+                tracer.instant(
+                    "cache-hit", cat="executor", scope=key, cell=cell.label()
+                )
                 done_by_key[key] = CellResult(
                     cell=cell, key=key, payload=cached, from_cache=True
                 )
@@ -535,11 +483,10 @@ def run_sweep(
 
         def finish(item: _Pending, raw: Dict[str, Any], attempts: int,
                    in_process: bool, seconds: float) -> None:
-            # Every execution path returns an envelope (enveloped or
-            # traced); absorb the sidecar, cache only the payload.
+            # Every execution path returns an envelope; absorb the
+            # sidecar, cache only the payload.
             payload = raw["payload"]
-            if tracer is not None:
-                tracer.add_spans(raw.get("spans") or ())
+            tracer.add_spans(raw.get("spans") or ())
             if cache is not None:
                 cache.put(item.key, payload)
                 emit("cache.store", key=item.key, cell=item.cell.label())
@@ -551,7 +498,6 @@ def run_sweep(
                 in_process=in_process,
                 seconds=seconds,
                 pid=raw.get("pid"),
-                phases=raw.get("phases") or {},
                 compile_cache=raw.get("compile_cache") or {},
             )
 
@@ -560,20 +506,7 @@ def run_sweep(
             t0 = time.perf_counter()
             while True:
                 try:
-                    if tracer is not None:
-                        # Mirror the pool path's submit/queue-wait spans so a
-                        # serial sweep's span skeleton is identical to a
-                        # parallel one (queue-wait is just ~0s inline).
-                        tracer.instant(
-                            "submit", cat="executor", scope=item.key,
-                            cell=item.cell.label(),
-                            attempt=item.failures + 1,
-                        )
-                        raw: Dict[str, Any] = execute_cell_traced(
-                            traced(item, submitted=True)
-                        )
-                    else:
-                        raw = execute_cell_enveloped(item.cell)
+                    raw = execute_cell_enveloped(stamp(item))
                 except Exception as exc:
                     item.failures += 1
                     if item.failures > max_retries:
@@ -614,7 +547,7 @@ def run_sweep(
                 emit=emit,
                 result=result,
                 tracer=tracer,
-                traced=traced,
+                stamp=stamp,
             )
 
         # -- assemble in input order -----------------------------------
@@ -627,13 +560,8 @@ def run_sweep(
     return result
 
 
-def _backoff_sleep(
-    tracer: Optional[Tracer], item: _Pending, backoff: float
-) -> None:
+def _backoff_sleep(tracer: Tracer, item: _Pending, backoff: float) -> None:
     """Exponential-backoff sleep, visible as a span when traced."""
-    if tracer is None:
-        time.sleep(backoff)
-        return
     with tracer.span(
         "retry-backoff", cat="executor", scope=item.key,
         attempt=item.failures + 1, backoff_seconds=round(backoff, 4),
@@ -651,8 +579,8 @@ def _run_pool(
     fallback,
     emit,
     result: SweepResult,
-    tracer: Optional[Tracer] = None,
-    traced=None,
+    stamp,
+    tracer: Tracer,
 ) -> None:
     """The process-pool loop: submit, collect, retry, recycle, fall back."""
     ctx = _mp_context()
@@ -661,26 +589,11 @@ def _run_pool(
 
     def submit(item: _Pending) -> None:
         item.started = time.monotonic()
-        if tracer is not None:
-            tracer.instant(
-                "submit", cat="executor", scope=item.key,
-                cell=item.cell.label(), attempt=item.failures + 1,
-            )
-            task = pool.submit(
-                execute_cell_traced, traced(item, submitted=True)
-            )
-        else:
-            task = pool.submit(execute_cell_enveloped, item.cell)
-        inflight[task] = item
+        inflight[pool.submit(execute_cell_enveloped, stamp(item))] = item
 
     def rebuild_pool(reason: str) -> ProcessPoolExecutor:
         """Kill and replace the pool, visible as a span when traced."""
-        span_cm = (
-            tracer.span("pool-rebuild", cat="executor", reason=reason)
-            if tracer is not None
-            else nullcontext()
-        )
-        with span_cm:
+        with tracer.span("pool-rebuild", cat="executor", reason=reason):
             _kill_pool(pool)
             return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 

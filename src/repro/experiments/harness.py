@@ -196,7 +196,7 @@ def run_workload(
     the steady-state trip.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) attaches the run's
-    observability hub: phase timers around setup / compile / each simulated
+    observability hub: phase spans around setup / compile / each simulated
     trip, spatial traffic accumulators collected off the machine, mapper
     decision events, and a run manifest on ``result.stats.manifest``.  A
     ``None`` or disabled hub costs nothing.
@@ -388,13 +388,6 @@ def run_workload(
                 "cme_accuracy": cme_accuracy,
                 "compile_cache": _compile_cache_section(
                     compile_cache, cache_counts_before
-                ),
-                # Cross-reference into the span timeline: a traced run's
-                # manifest names the trace its spans belong to.
-                **(
-                    {"trace_id": telemetry.tracer.context.trace_id}
-                    if telemetry.tracer is not None
-                    else {}
                 ),
                 **(
                     {

@@ -2,13 +2,13 @@
 
 Zero-dependency telemetry for the simulator and the mapping pipeline:
 
-* :class:`Telemetry` -- counters, exact-value histograms, nested phase
-  timers (``with tele.phase(...)`` / ``@tele.profiled(...)``).
+* :class:`Telemetry` -- counters, exact-value histograms, nested phases
+  (``with tele.phase(...)``), each recorded once as a span and folded
+  into tables by :func:`phase_table`.
 * :class:`SpatialAccumulators` -- per-tile / per-LLC-bank / per-MC /
   per-link traffic counts, recorded identically by both engine modes.
 * :class:`EventStream` -- structured JSONL decision events (mapper
-  placements, load-balance moves, engine phase boundaries) behind
-  level/sampling knobs.
+  placements, load-balance moves, engine trips) behind a level knob.
 * :func:`build_manifest` / :func:`config_hash` -- run manifests.
 * :mod:`repro.obs.render` -- ASCII/CSV heatmaps and phase tables
   (surfaced by ``repro profile`` and ``repro heatmap``).
@@ -22,7 +22,6 @@ from .bench import (
     bench_envelope,
     check_history,
     load_history,
-    read_bench,
 )
 from .events import LEVELS, EventStream
 from .manifest import (
@@ -34,7 +33,7 @@ from .manifest import (
 )
 from .metrics import prometheus_text
 from .spatial import SpatialAccumulators
-from .telemetry import Histogram, PhaseRecord, Telemetry, profiled
+from .telemetry import Histogram, PhaseRecord, Telemetry, phase_table
 from .tracing import (
     TRACE_SCHEMA,
     Span,
@@ -66,9 +65,8 @@ __all__ = [
     "derive_trace_id",
     "load_history",
     "package_version",
+    "phase_table",
     "prometheus_text",
-    "profiled",
-    "read_bench",
     "span_id",
     "sweep_cache_key",
     "validate_trace_events",

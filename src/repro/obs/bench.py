@@ -15,10 +15,6 @@ and, in addition to the ``BENCH_*.json`` file at the repo root, appended
 to ``benchmarks/history/<name>.jsonl`` -- one line per run, append-only,
 which is the trajectory ``repro bench history`` lists and ``repro bench
 check`` watches for regressions.
-
-The reader is backward-compatible: pre-envelope entries (bare records)
-are wrapped on load with ``schema: "legacy"`` and metrics recovered from
-well-known keys, so an old BENCH file still yields a trajectory.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import socket
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .manifest import package_version
 
@@ -44,13 +40,6 @@ DEFAULT_HISTORY_DIR = (
 DEFAULT_TOLERANCE = 0.10
 """Noise band: a metric must move more than 10% past the recorded
 trajectory's geomean (in its bad direction) to count as a regression."""
-
-_LEGACY_METRIC_KEYS = {
-    # record key -> direction ("higher"/"lower" is better)
-    "speedup": "higher",
-    "warm_fraction_of_serial": "lower",
-    "overhead_fraction": "lower",
-}
 
 
 def git_sha() -> str:
@@ -79,16 +68,13 @@ def host_fingerprint() -> str:
 
 def bench_envelope(
     record: Dict[str, Any],
-    metrics: Optional[Dict[str, Dict[str, Any]]] = None,
+    metrics: Dict[str, Dict[str, Any]],
 ) -> Dict[str, Any]:
     """Wrap one harness record in the schema-versioned envelope.
 
     ``metrics`` maps metric name to ``{"value": float, "direction":
     "higher"|"lower"}`` -- the scalars the regression watch tracks.
-    When omitted, well-known record keys are promoted.
     """
-    if metrics is None:
-        metrics = _recover_metrics(record)
     for name, spec in metrics.items():
         if spec.get("direction") not in ("higher", "lower"):
             raise ValueError(
@@ -113,45 +99,6 @@ def bench_envelope(
     }
 
 
-def _recover_metrics(record: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    metrics: Dict[str, Dict[str, Any]] = {}
-    for key, direction in _LEGACY_METRIC_KEYS.items():
-        value = record.get(key)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            metrics[key] = {"value": float(value), "direction": direction}
-    return metrics
-
-
-def wrap_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """An on-disk entry as an envelope, whatever vintage it is."""
-    if entry.get("schema") == BENCH_SCHEMA and "record" in entry:
-        return entry
-    # Legacy bare record: synthesize an envelope around it.
-    manifest = entry.get("manifest") or {}
-    return {
-        "schema": "legacy",
-        "benchmark": entry.get("benchmark", "unknown"),
-        "created_unix": None,
-        "git_sha": "unknown",
-        "host": "unknown",
-        "python": manifest.get("python", "unknown"),
-        "version": manifest.get("version", "unknown"),
-        "metrics": _recover_metrics(entry),
-        "record": entry,
-    }
-
-
-def read_bench(path: "str | Path") -> List[Dict[str, Any]]:
-    """All envelopes of one ``BENCH_*.json`` file (legacy-tolerant)."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if isinstance(data, dict):
-        data = [data]
-    return [wrap_entry(entry) for entry in data if isinstance(entry, dict)]
-
-
 def history_name(bench_path: "str | Path") -> str:
     """``BENCH_engine.json`` -> ``engine``: the trajectory series name."""
     stem = Path(bench_path).stem
@@ -163,15 +110,14 @@ def history_name(bench_path: "str | Path") -> str:
 def append_bench(
     bench_path: "str | Path",
     record: Dict[str, Any],
-    metrics: Optional[Dict[str, Dict[str, Any]]] = None,
+    metrics: Dict[str, Dict[str, Any]],
     history_dir: "str | Path | None" = None,
 ) -> Dict[str, Any]:
     """Record one measured point: BENCH file + append-only history line.
 
-    The BENCH file keeps its historical list shape (now of envelopes;
-    pre-existing bare records are preserved verbatim), and the same
-    envelope is appended as one JSONL line to
-    ``<history_dir>/<name>.jsonl``.  Returns the envelope.
+    The BENCH file keeps its list shape (of envelopes; existing entries
+    are preserved verbatim), and the same envelope is appended as one
+    JSONL line to ``<history_dir>/<name>.jsonl``.  Returns the envelope.
     """
     bench_path = Path(bench_path)
     envelope = bench_envelope(record, metrics)
@@ -200,7 +146,11 @@ def append_bench(
 def load_history(
     history_dir: "str | Path | None" = None,
 ) -> Dict[str, List[Dict[str, Any]]]:
-    """series name -> chronological envelopes from the history JSONLs."""
+    """series name -> chronological envelopes from the history JSONLs.
+
+    A line that is not a ``repro.bench/1`` envelope is skipped, like a
+    corrupt one: one bad line must not sink the trajectory.
+    """
     directory = Path(history_dir) if history_dir else DEFAULT_HISTORY_DIR
     series: Dict[str, List[Dict[str, Any]]] = {}
     if not directory.exists():
@@ -212,9 +162,11 @@ def load_history(
             if not line:
                 continue
             try:
-                entries.append(wrap_entry(json.loads(line)))
-            except (json.JSONDecodeError, AttributeError):
-                continue  # one corrupt line must not sink the trajectory
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(entry, dict) and entry.get("schema") == BENCH_SCHEMA:
+                entries.append(entry)
         if entries:
             series[path.stem] = entries
     return series

@@ -8,42 +8,28 @@ engines drive the mapper to byte-identical decision streams.
 
 Levels (cheapest first): ``off`` < ``decisions`` < ``debug``.  An event
 carries its own level; the stream drops anything above its configured
-level before any formatting work happens.  ``sample`` additionally thins
-high-volume kinds deterministically (no RNG: event ``i`` of a kind is
-kept iff ``floor((i+1)*sample) > floor(i*sample)``), so two runs with the
-same knobs keep exactly the same subsequence.
+level before any formatting work happens.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from typing import Callable, Dict, IO, List, Optional
+from typing import Callable, List, Optional
 
 LEVELS = ("off", "decisions", "debug")
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
 
 
 class EventStream:
-    """In-memory (optionally tee'd to a file) JSONL event recorder."""
+    """In-memory JSONL event recorder."""
 
-    def __init__(
-        self,
-        level: str = "decisions",
-        sample: float = 1.0,
-        sink: Optional[IO[str]] = None,
-    ):
+    def __init__(self, level: str = "decisions"):
         if level not in _LEVEL_RANK:
             raise ValueError(f"unknown level {level!r}; one of {LEVELS}")
-        if not 0.0 <= sample <= 1.0:
-            raise ValueError("sample must be in [0, 1]")
         self.level = level
-        self.sample = sample
-        self.sink = sink
         self.tee: Optional[Callable[[dict], None]] = None
         self.events: List[dict] = []
         self._seq = 0
-        self._kind_seq: Dict[str, int] = {}
 
     @property
     def enabled(self) -> bool:
@@ -52,29 +38,17 @@ class EventStream:
     def _admits(self, level: str) -> bool:
         return _LEVEL_RANK[level] <= _LEVEL_RANK[self.level]
 
-    def _sampled(self, kind: str) -> bool:
-        """Deterministic thinning; counts every offered event of a kind."""
-        i = self._kind_seq.get(kind, 0)
-        self._kind_seq[kind] = i + 1
-        if self.sample >= 1.0:
-            return True
-        if self.sample <= 0.0:
-            return False
-        return math.floor((i + 1) * self.sample) > math.floor(i * self.sample)
-
     # -- recording -------------------------------------------------------
     def emit(self, kind: str, level: str = "decisions", **fields) -> bool:
         """Record one event; returns whether it was kept."""
         if level not in _LEVEL_RANK:
             raise ValueError(f"unknown level {level!r}; one of {LEVELS}")
-        if not self._admits(level) or not self._sampled(kind):
+        if not self._admits(level):
             return False
         event = {"seq": self._seq, "kind": kind}
         event.update(fields)
         self._seq += 1
         self.events.append(event)
-        if self.sink is not None:
-            self.sink.write(json.dumps(event, sort_keys=True) + "\n")
         if self.tee is not None:
             # Mirror admitted events to an observer (e.g. the span tracer
             # turning mapper/fault/engine decisions into instant spans).

@@ -1,9 +1,10 @@
 """Prometheus-style text exposition of a Telemetry hub.
 
-``repro metrics`` renders one run's counters, histograms and phase
-timers in the Prometheus text format (v0.0.4): counters become
+``repro metrics`` renders one run's counters, histograms and phases in
+the Prometheus text format (v0.0.4): counters become
 ``repro_<name>_total``, exact-value histograms become summaries with
-p50/p90/p99 quantile samples, and phase timers become labelled gauges.
+p50/p90/p99 quantile samples, and the phase table (a fold over the
+run's phase spans) becomes labelled gauges.
 The output is deterministic (sorted names, fixed quantile set), so it
 can be golden-snapshotted and diffed across runs.
 
@@ -82,23 +83,22 @@ def prometheus_text(
         lines.append(f"{metric}_sum{fmt_labels()} {hist.sum}")
         lines.append(f"{metric}_count{fmt_labels()} {hist.total}")
 
-    if telemetry.phases:
+    phases = telemetry.phases
+    if phases:
         seconds_metric = metric_name("phase_seconds", prefix)
         calls_metric = metric_name("phase_calls", prefix)
         lines.append(
             f"# HELP {seconds_metric} accumulated wall seconds per phase"
         )
         lines.append(f"# TYPE {seconds_metric} gauge")
-        for path in sorted(telemetry.phases):
-            record = telemetry.phases[path]
+        for path, record in phases.items():
             lines.append(
                 f"{seconds_metric}{fmt_labels({'phase': path})} "
                 f"{record.seconds:.6f}"
             )
         lines.append(f"# HELP {calls_metric} phase invocation count")
         lines.append(f"# TYPE {calls_metric} counter")
-        for path in sorted(telemetry.phases):
-            record = telemetry.phases[path]
+        for path, record in phases.items():
             lines.append(
                 f"{calls_metric}{fmt_labels({'phase': path})} "
                 f"{record.calls}"

@@ -7,8 +7,7 @@ per-MC / per-link counters for one machine.  Two recording styles feed it:
   with one vectorized ``np.bincount`` (:meth:`record_bank_touches`), and
   the network adds each packet's flits to the links it crosses
   (:meth:`record_link`).  Neither forces the batched fast path back to a
-  scalar walk, unlike the per-access :attr:`~repro.sim.machine.Manycore.
-  observer` callback.
+  scalar walk.
 * **component snapshots** -- per-node L1, per-bank LLC, per-MC and DRAM
   counters already maintained by the components are copied in by
   :meth:`~repro.sim.machine.Manycore.collect_spatial` at read time.

@@ -1,4 +1,4 @@
-"""The telemetry hub: counters, histograms, and nested phase timers.
+"""The telemetry hub: counters, histograms, and nested phase spans.
 
 One :class:`Telemetry` instance accompanies one run (or one experiment).
 It is deliberately *pull*-based and zero-dependency: instrumentation sites
@@ -18,25 +18,25 @@ overhead below 2%.
 
 from __future__ import annotations
 
-import functools
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from .events import EventStream
 from .spatial import SpatialAccumulators
+from .tracing import Span, TraceContext, Tracer
 
 
 @dataclass
 class PhaseRecord:
-    """Accumulated wall time of one (possibly nested) phase.
+    """Accumulated wall time of one (possibly nested) phase path: one row
+    of :func:`phase_table`.
 
     ``depth`` is the nesting level the phase was recorded at (1 =
-    top-level).  Phase *names* may themselves contain dots ("sim.cold"),
-    so nesting is tracked by the timer stack, not parsed from the path.
+    top-level), counted along span parents.  Phase *names* may themselves
+    contain dots ("sim.cold"), so nesting is never parsed from the path.
     """
 
     name: str
@@ -47,6 +47,30 @@ class PhaseRecord:
     def add(self, seconds: float) -> None:
         self.seconds += seconds
         self.calls += 1
+
+    def as_dict(self) -> Dict[str, object]:
+        return {"seconds": round(self.seconds, 6), "calls": self.calls}
+
+
+def phase_table(spans: Iterable[Span]) -> Dict[str, PhaseRecord]:
+    """Fold ``cat="phase"`` spans into one row per phase path, sorted.
+
+    A phase is recorded once, as a span; every phase view -- the hub's
+    :attr:`Telemetry.phases`, the manifest's ``phase_seconds``,
+    Prometheus gauges, ``repro profile`` for one run or for a sweep's
+    merged worker spans -- is this fold.
+    """
+    phases = {span.span_id: span for span in spans if span.cat == "phase"}
+    table: Dict[str, PhaseRecord] = {}
+    for span in phases.values():
+        record = table.get(span.name)
+        if record is None:
+            depth, parent = 1, span.parent_id
+            while parent in phases:
+                depth, parent = depth + 1, phases[parent].parent_id
+            record = table[span.name] = PhaseRecord(span.name, depth=depth)
+        record.add(span.duration)
+    return dict(sorted(table.items()))
 
 
 class Histogram:
@@ -156,17 +180,17 @@ class Telemetry:
         )
         self.counters: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.phases: Dict[str, PhaseRecord] = {}
         self.spatial: Optional[SpatialAccumulators] = None
         self.manifest: Optional[dict] = None
-        self.tracer = None  # Optional[repro.obs.tracing.Tracer]
+        self.tracer = Tracer(TraceContext(trace_id="local"))
         self._phase_stack: List[str] = []
 
-    def attach_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.tracing.Tracer`: phase timers become
-        interval spans and admitted decision events become instant child
-        spans (via the event stream's tee).  A disabled hub ignores the
-        attachment -- tracing piggybacks on telemetry's cost model."""
+    def attach_tracer(self, tracer: Optional[Tracer]) -> None:
+        """Record phases on ``tracer`` (a sweep cell's) instead of the
+        hub's local one, and mirror admitted decision events onto it as
+        instant child spans (via the event stream's tee).  A disabled hub
+        ignores the attachment -- tracing piggybacks on telemetry's cost
+        model."""
         if not self.enabled or tracer is None or not tracer.enabled:
             return
         self.tracer = tracer
@@ -210,55 +234,25 @@ class Telemetry:
             )
         return self.spatial
 
-    # -- phase timers ----------------------------------------------------
+    # -- phases ----------------------------------------------------------
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        """Time a phase; nested phases accumulate under dotted paths."""
+        """Time a phase as one ``cat="phase"`` span on the hub's tracer;
+        nested phases record under dotted paths."""
         if not self.enabled:
             yield
             return
         self._phase_stack.append(name)
-        path = ".".join(self._phase_stack)
-        tracer = self.tracer
-        span_cm = (
-            tracer.span(path, cat="phase") if tracer is not None else None
-        )
-        if span_cm is not None:
-            span_cm.__enter__()
-        start = time.perf_counter()
         try:
-            yield
+            with self.tracer.span(".".join(self._phase_stack), cat="phase"):
+                yield
         finally:
-            elapsed = time.perf_counter() - start
-            if span_cm is not None:
-                span_cm.__exit__(None, None, None)
-            record = self.phases.get(path)
-            if record is None:
-                record = PhaseRecord(path, depth=len(self._phase_stack))
-                self.phases[path] = record
-            record.add(elapsed)
             self._phase_stack.pop()
-            self.events.emit(
-                "phase.end",
-                level="debug",
-                phase=path,
-                seconds=round(elapsed, 6),
-            )
 
-    def profiled(self, name: Optional[str] = None) -> Callable:
-        """Decorator form of :meth:`phase`."""
-
-        def wrap(func: Callable) -> Callable:
-            phase_name = name or func.__qualname__
-
-            @functools.wraps(func)
-            def inner(*args, **kwargs):
-                with self.phase(phase_name):
-                    return func(*args, **kwargs)
-
-            return inner
-
-        return wrap
+    @property
+    def phases(self) -> Dict[str, PhaseRecord]:
+        """The :func:`phase_table` of the hub tracer's spans."""
+        return phase_table(self.tracer.spans)
 
     def phase_seconds(self) -> Dict[str, float]:
         return {path: rec.seconds for path, rec in self.phases.items()}
@@ -269,12 +263,12 @@ class Telemetry:
         The share is of the total *top-level* time, so nested phases read
         as a breakdown rather than double-counting the total.
         """
+        phases = self.phases
         top_total = sum(
-            rec.seconds for rec in self.phases.values() if rec.depth == 1
+            rec.seconds for rec in phases.values() if rec.depth == 1
         )
         rows: List[List[object]] = []
-        for path in sorted(self.phases):
-            rec = self.phases[path]
+        for path, rec in phases.items():
             share = 100.0 * rec.seconds / top_total if top_total else 0.0
             rows.append([path, rec.calls, round(rec.seconds, 4), round(share, 1)])
         return rows
@@ -289,20 +283,9 @@ class Telemetry:
                 for name, hist in sorted(self.histograms.items())
             },
             "phases": {
-                path: {"seconds": round(rec.seconds, 6), "calls": rec.calls}
-                for path, rec in sorted(self.phases.items())
+                path: rec.as_dict() for path, rec in self.phases.items()
             },
             "spatial": self.spatial.as_dict() if self.spatial else None,
             "manifest": self.manifest,
         }
 
-
-def profiled(telemetry: Optional[Telemetry], name: str) -> Callable:
-    """Module-level ``@profiled(tele, "name")`` that tolerates ``tele=None``."""
-
-    def wrap(func: Callable) -> Callable:
-        if telemetry is None or not telemetry.enabled:
-            return func
-        return telemetry.profiled(name)(func)
-
-    return wrap

@@ -17,6 +17,9 @@ hits are invisible on one timeline.  Three pieces:
   from the wall clock or the pid.  Two runs of the same manifest + cell
   keys therefore produce byte-identical span ids, which is what lets the
   equivalence suite compare serial, 4-worker and cache-warm timelines.
+  Phases are spans too (``cat="phase"``, recorded by
+  :meth:`repro.obs.Telemetry.phase`); phase tables are folds over them
+  (:func:`repro.obs.phase_table`).
 * Chrome/Perfetto export -- :meth:`Tracer.to_trace_json` renders the
   merged multi-process timeline in the Trace Event JSON format
   (``chrome://tracing`` / https://ui.perfetto.dev load it directly).
@@ -40,9 +43,6 @@ TRACE_SCHEMA = "repro.trace/1"
 
 COORDINATOR_SCOPE = "coord"
 """Scope of spans recorded by the sweep coordinator itself."""
-
-_TEE_SKIP_KINDS = frozenset({"phase.end"})
-"""Event kinds the tracer bridge drops: phases are already full spans."""
 
 
 def derive_trace_id(material: Any) -> str:
@@ -281,8 +281,6 @@ class Tracer:
 
         def tee(event: dict) -> None:
             kind = event.get("kind", "event")
-            if kind in _TEE_SKIP_KINDS:
-                return
             cat = kind.split(".", 1)[0]
             args = {
                 k: v for k, v in event.items() if k not in ("kind", "seq")

@@ -16,7 +16,6 @@ every core at the end of its trip.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,10 +76,7 @@ class ExecutionEngine:
     * ``"reference"`` -- the original one-``access``-call-per-reference
       scalar model.
 
-    When unspecified, the mode follows ``machine.config.engine_mode``.  A
-    machine with an attached per-access :attr:`Manycore.observer` is always
-    driven through the reference path (the bulk path produces no per-access
-    timings to report).
+    When unspecified, the mode follows ``machine.config.engine_mode``.
     """
 
     def __init__(
@@ -94,7 +90,7 @@ class ExecutionEngine:
         if chunk_iterations < 1:
             raise ValueError("chunk size must be positive")
         if mode is None:
-            mode = getattr(machine.config, "engine_mode", "fast")
+            mode = machine.config.engine_mode
         if mode not in ("fast", "reference"):
             raise ValueError("mode must be 'fast' or 'reference'")
         self.machine = machine
@@ -115,7 +111,6 @@ class ExecutionEngine:
         self._shared_llc = (
             machine.snuca.organization is LLCOrganization.SHARED
         )
-        self._warned_observer_fallback = False
 
     # ------------------------------------------------------------------
     def run(self, plans: List[TripPlan], start_cycle: int = 0) -> RunStats:
@@ -191,25 +186,8 @@ class ExecutionEngine:
         overlap = 1.0 - cfg.stall_overlap
         iteration_sets = self.trace.iteration_sets[nest_index]
         sets_by_id = {s.set_id: s for s in iteration_sets}
-        # The bulk path cannot feed a per-access observer; fall back.
-        use_fast = self.mode == "fast" and self.machine.observer is None
-        if (
-            self.mode == "fast"
-            and self.machine.observer is not None
-            and not self._warned_observer_fallback
-        ):
-            self._warned_observer_fallback = True
-            warnings.warn(
-                "engine_mode='fast' with an attached machine.observer: "
-                "falling back to the scalar reference path (the bulk path "
-                "produces no per-access timings to report).  Spatial "
-                "telemetry (repro.obs) records per-tile/bank/MC/link "
-                "traffic without forcing this fallback.",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         run_chunk = (
-            self._run_chunk_fast if use_fast else self._run_chunk_reference
+            self._run_chunk_fast if self.mode == "fast" else self._run_chunk_reference
         )
 
         # Per-core queue of set traces, in set-id order.
@@ -283,9 +261,7 @@ class ExecutionEngine:
             t += compute
             row = addresses[k]
             for r in range(n_refs):
-                timing = machine_access(
-                    core, int(row[r]), bool(writes[r]), t, trace.set_id
-                )
+                timing = machine_access(core, int(row[r]), bool(writes[r]), t)
                 stall = timing.completion - t
                 if timing.l1_hit:
                     t += stall
@@ -358,9 +334,7 @@ class ExecutionEngine:
                     break
             if pos % n_refs == 0:
                 t += compute
-            timing = machine_access(
-                core, int(vaddrs[pos]), bool(writes[pos]), t, trace.set_id
-            )
+            timing = machine_access(core, int(vaddrs[pos]), bool(writes[pos]), t)
             stall = timing.completion - t
             if timing.l1_hit:  # pragma: no cover - access_batch guarantees miss
                 t += stall

@@ -21,7 +21,7 @@ extending the triggering access's critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class AccessTiming:
     mc: Optional[int] = None
 
 
-Observer = Callable[[int, int, bool, AccessTiming], None]
-"""Called as ``observer(tag, vaddr, is_write, timing)`` for every access."""
-
-
 class Manycore:
     """One simulated machine instance.
 
@@ -60,8 +56,7 @@ class Manycore:
     observability layer: the machine allocates the run's spatial
     accumulators, wires the network's per-link/per-packet recording, and
     :meth:`collect_spatial` snapshots per-component counters into them.
-    Unlike the per-access :attr:`observer` callback, telemetry never forces
-    the engine off its batched fast path.
+    Telemetry never forces the engine off its batched fast path.
     """
 
     def __init__(
@@ -120,7 +115,6 @@ class Manycore:
             for index, factor in self.degraded.mc_throttle.items():
                 self.mcs[index].throttle = factor
         self.translation = translation or IdentityTranslation(self.layout)
-        self.observer: Optional[Observer] = None
         self._line_mask = ~(config.l2_line_bytes - 1)
         if telemetry is not None and not getattr(telemetry, "enabled", True):
             telemetry = None  # a disabled hub is the same as no hub
@@ -158,48 +152,30 @@ class Manycore:
             packet = Packet.request(src, dst, time)
         return self.network.transfer(packet)
 
-    def _fire_and_forget(self, src: int, dst: int, time: int, payload: int) -> None:
-        self._send(src, dst, time, payload)
-
     # ------------------------------------------------------------------
     def access(
-        self, core: int, vaddr: int, is_write: bool, time: int, tag: int = -1
+        self, core: int, vaddr: int, is_write: bool, time: int
     ) -> AccessTiming:
         """Execute one memory access issued by ``core`` at ``time``."""
         paddr = self.translation.translate(vaddr)
         outcome = self.hierarchy.access(core, paddr, is_write)
         if outcome.l1_hit:
-            timing = AccessTiming(
+            return AccessTiming(
                 completion=time + self.config.l1_latency,
                 network_cycles=0,
                 l1_hit=True,
                 llc_hit=True,
             )
-            self._observe(tag, vaddr, is_write, timing)
-            return timing
-
-        timing = self._miss_path(core, paddr, time, outcome)
-        self._observe(tag, vaddr, is_write, timing)
-        return timing
+        return self._miss_path(core, paddr, time, outcome)
 
     # ------------------------------------------------------------------
     def translate_batch(self, vaddrs: np.ndarray) -> np.ndarray:
         """Translate a stream of virtual addresses in stream order.
 
-        Uses the translation object's vectorized ``translate_batch`` when it
-        has one; otherwise falls back to a scalar walk.  Either way the
-        page-allocation side effects (first-touch faults) happen in exactly
-        the order a scalar access loop would trigger them.
+        The page-allocation side effects (first-touch faults) happen in
+        exactly the order a scalar access loop would trigger them.
         """
-        batch = getattr(self.translation, "translate_batch", None)
-        if batch is not None:
-            return batch(vaddrs)
-        translate = self.translation.translate
-        return np.fromiter(
-            (translate(int(v)) for v in vaddrs),
-            dtype=np.int64,
-            count=len(vaddrs),
-        )
+        return self.translation.translate_batch(vaddrs)
 
     def access_batch(
         self,
@@ -223,14 +199,7 @@ class Manycore:
 
         Pass ``paddrs`` when the stream was already translated (e.g. once
         per chunk via :meth:`translate_batch`) to avoid re-translating.
-        Not valid while an :attr:`observer` is attached: the bulk path
-        does not produce per-access timings to report.
         """
-        if self.observer is not None:
-            raise RuntimeError(
-                "access_batch cannot honor a per-access observer; "
-                "use scalar access() while observing"
-            )
         if paddrs is None:
             paddrs = self.translate_batch(vaddrs)
         return self.hierarchy.l1_bulk_cursor(core, paddrs, writes)
@@ -268,7 +237,7 @@ class Manycore:
             # MAI/MAC placement exploits (Figure 1b/1d).  The home bank is
             # filled off the critical path.
             if bank_node != core and mc_node != bank_node:
-                self._fire_and_forget(mc_node, bank_node, t, line_bytes)
+                self._send(mc_node, bank_node, t, line_bytes)
             if mc_node != core:
                 arrival = self._send(mc_node, core, t, line_bytes)
                 network_cycles += arrival - t
@@ -280,7 +249,7 @@ class Manycore:
             # Dirty copy in another L1: bank forwards, owner sends the data.
             owner = outcome.coherence.forward_from_owner
             if owner != bank_node:
-                self._fire_and_forget(bank_node, owner, t, payload=0)
+                self._send(bank_node, owner, t, payload_bytes=0)
             if owner != core:
                 arrival = self._send(owner, core, t, line_bytes)
                 network_cycles += arrival - t
@@ -311,9 +280,7 @@ class Manycore:
             victim_mc = self.distribution.mc_of(outcome.llc_victim)
             victim_mc_node = self.mesh.mc_node(victim_mc)
             if victim_mc_node != bank_node:
-                self._fire_and_forget(
-                    bank_node, victim_mc_node, t, cfg.l2_line_bytes
-                )
+                self._send(bank_node, victim_mc_node, t, cfg.l2_line_bytes)
         # ...and coherence invalidations to remote sharers.  One LLC line can
         # cover several (smaller) L1 lines; drop them all.
         if outcome.coherence.invalidate_nodes:
@@ -321,7 +288,7 @@ class Manycore:
             l1_line = cfg.l1_line_bytes
             for node in outcome.coherence.invalidate_nodes:
                 if node != bank_node:
-                    self._fire_and_forget(bank_node, node, t, payload=0)
+                    self._send(bank_node, node, t, payload_bytes=0)
                 l1 = self.hierarchy.l1(node)
                 for offset in range(0, cfg.l2_line_bytes, l1_line):
                     l1.invalidate(llc_line_base + offset)
@@ -333,13 +300,6 @@ class Manycore:
             home_bank=outcome.home_bank,
             mc=mc_index,
         )
-
-    # ------------------------------------------------------------------
-    def _observe(
-        self, tag: int, vaddr: int, is_write: bool, timing: AccessTiming
-    ) -> None:
-        if self.observer is not None:
-            self.observer(tag, vaddr, is_write, timing)
 
     # ------------------------------------------------------------------
     def home_banks_batch(self, paddrs: np.ndarray) -> np.ndarray:
@@ -395,10 +355,7 @@ class Manycore:
         self.hierarchy.reset()
         for mc in self.mcs:
             mc.reset()
-        if hasattr(self.network, "reset"):
-            self.network.reset()
-        else:  # pragma: no cover - all concrete networks define reset
-            self.network.reset_stats()
+        self.network.reset()
         if self.spatial is not None:
             # Live stream accumulators follow the component counters; the
             # snapshot fields are refreshed by collect_spatial anyway.

@@ -9,6 +9,10 @@ Two claims, mirroring ``test_equivalence.py``:
   everything except wall-clock timestamps and pids) restricted to
   cell-key scopes is byte-identical across serial, 4-worker and
   cache-warm runs, and across reruns of the same manifest.
+
+Phases are recorded once, as spans, so the sweep-wide phase table is a
+fold over the coordinator tracer's spans; it must agree with the
+in-process hubs of the same cells.
 """
 
 from __future__ import annotations
@@ -18,7 +22,15 @@ import os
 
 import pytest
 
-from repro.exec import ResultCache, run_sweep, sweep_matrix, sweep_tracer
+from repro.exec import (
+    ResultCache,
+    execute_cell,
+    execute_cell_enveloped,
+    run_sweep,
+    sweep_matrix,
+    sweep_tracer,
+)
+from repro.obs import EventStream, Telemetry, phase_table
 from repro.obs.tracing import validate_trace_events
 from repro.sim.config import DEFAULT_CONFIG
 
@@ -101,14 +113,33 @@ def test_lifecycle_spans_present(parallel):
 
 
 def test_worker_phase_timers_merge_into_sweep_result(parallel):
-    _, result = parallel
-    merged = result.merged_phases()
+    tracer, _ = parallel
+    merged = phase_table(tracer.spans)
     assert merged, "traced sweeps must surface worker-side phase timers"
     for record in merged.values():
-        assert record["calls"] >= 1
-        assert record["seconds"] >= 0.0
+        assert record.calls >= 1
+        assert record.seconds >= 0.0
     assert any(path.startswith("sim") for path in merged)
-    assert all(result.by_key()[key].phases for key in result.by_key())
+    phase_scopes = {span.scope for span in tracer.spans if span.cat == "phase"}
+    assert _cell_scopes() <= phase_scopes
+
+
+def test_worker_phase_table_matches_in_process_runs(serial):
+    tracer, _ = serial
+    phase_scopes = {span.scope for span in tracer.spans if span.cat == "phase"}
+    assert phase_scopes <= _cell_scopes()
+    local = {}
+    for cell in _cells():
+        telemetry = Telemetry(events=EventStream(level="off"))
+        execute_cell(cell, telemetry=telemetry)
+        for path, record in telemetry.phases.items():
+            calls, _ = local.get(path, (0, record.depth))
+            local[path] = (calls + record.calls, record.depth)
+    worker = {
+        path: (record.calls, record.depth)
+        for path, record in phase_table(tracer.spans).items()
+    }
+    assert worker == local
 
 
 def test_cache_warm_run_replays_with_cache_hit_spans(serial, tmp_path):
@@ -159,8 +190,8 @@ def test_untraced_sweep_carries_no_trace_plumbing():
     result = run_sweep(_cells(), workers=1)
     for cell_result in result.results:
         # The execution envelope records the pid for every path, but the
-        # span/phase sidecar only exists when a tracer is attached.
+        # span sidecar only exists when a tracer is attached.
         assert cell_result.pid == os.getpid()
-        assert cell_result.phases == {}
-    assert result.merged_phases() == {}
+    envelope = execute_cell_enveloped(_cells()[0])
+    assert set(envelope) == {"payload", "pid", "compile_cache"}
     assert result.worker_pids() == [os.getpid()]

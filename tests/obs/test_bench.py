@@ -17,26 +17,19 @@ from repro.obs.bench import (
     check_history,
     history_name,
     load_history,
-    read_bench,
-    wrap_entry,
 )
+
+SPEEDUP = {"speedup": {"value": 4.5, "direction": "higher"}}
 
 
 class TestEnvelope:
     def test_envelope_carries_provenance(self):
-        env = bench_envelope({"benchmark": "engine", "speedup": 4.5})
+        env = bench_envelope({"benchmark": "engine", "speedup": 4.5}, SPEEDUP)
         assert env["schema"] == BENCH_SCHEMA
         assert env["benchmark"] == "engine"
         assert env["record"] == {"benchmark": "engine", "speedup": 4.5}
         for key in ("created_unix", "git_sha", "host", "python", "version"):
             assert env[key]
-
-    def test_legacy_metric_keys_are_promoted(self):
-        env = bench_envelope({"speedup": 4.5, "overhead_fraction": 0.01})
-        assert env["metrics"]["speedup"] == {
-            "value": 4.5, "direction": "higher",
-        }
-        assert env["metrics"]["overhead_fraction"]["direction"] == "lower"
 
     def test_explicit_metrics_win(self):
         env = bench_envelope(
@@ -50,36 +43,6 @@ class TestEnvelope:
             bench_envelope(
                 {}, metrics={"x": {"value": 1.0, "direction": "sideways"}}
             )
-
-
-class TestBackwardCompatibleReader:
-    def test_wrap_entry_passes_envelopes_through(self):
-        env = bench_envelope({"speedup": 2.0})
-        assert wrap_entry(env) is env
-
-    def test_wrap_entry_synthesizes_legacy(self):
-        legacy = {
-            "benchmark": "engine_fast_vs_reference",
-            "speedup": 5.05,
-            "manifest": {"python": "3.11.1", "version": "0.5.0"},
-        }
-        env = wrap_entry(legacy)
-        assert env["schema"] == "legacy"
-        assert env["record"] is legacy
-        assert env["python"] == "3.11.1"
-        assert env["metrics"]["speedup"]["value"] == 5.05
-
-    def test_read_bench_mixed_vintages(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps([
-            {"benchmark": "engine", "speedup": 4.0},
-            bench_envelope({"benchmark": "engine", "speedup": 4.2}),
-        ]))
-        entries = read_bench(path)
-        assert [e["schema"] for e in entries] == ["legacy", BENCH_SCHEMA]
-
-    def test_read_bench_missing_file(self, tmp_path):
-        assert read_bench(tmp_path / "BENCH_none.json") == []
 
 
 class TestAppend:
@@ -126,21 +89,15 @@ class TestAppend:
         canonical = json.dumps(json.loads(raw), indent=2, sort_keys=True)
         assert raw == canonical + "\n"
 
-    def test_append_preserves_legacy_entries(self, tmp_path):
-        bench = tmp_path / "BENCH_engine.json"
-        bench.write_text(json.dumps([{"speedup": 3.9}]))
-        append_bench(bench, {"speedup": 4.1}, history_dir=tmp_path / "h")
-        entries = json.loads(bench.read_text())
-        assert entries[0] == {"speedup": 3.9}  # untouched bare record
-        assert entries[1]["schema"] == BENCH_SCHEMA
-
     def test_load_history_skips_corrupt_lines(self, tmp_path):
         history = tmp_path / "history"
         history.mkdir()
         (history / "engine.jsonl").write_text(
-            json.dumps(bench_envelope({"speedup": 4.0}))
+            json.dumps(bench_envelope({"speedup": 4.0}, SPEEDUP))
             + "\n{not json\n"
-            + json.dumps(bench_envelope({"speedup": 4.1}))
+            + json.dumps({"schema": "legacy", "metrics": SPEEDUP})
+            + "\n"
+            + json.dumps(bench_envelope({"speedup": 4.1}, SPEEDUP))
             + "\n"
         )
         series = load_history(history)

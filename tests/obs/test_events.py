@@ -1,7 +1,4 @@
-"""Unit tests for the structured event stream: levels, sampling, JSONL."""
-
-import io
-import math
+"""Unit tests for the structured event stream: levels, JSONL."""
 
 import pytest
 
@@ -38,42 +35,6 @@ class TestLevels:
             EventStream().emit("x", level="verbose")
 
 
-class TestSampling:
-    def test_sample_bounds_validated(self):
-        with pytest.raises(ValueError):
-            EventStream(sample=1.5)
-
-    @pytest.mark.parametrize("sample", [0.1, 0.25, 0.5, 1.0])
-    def test_sampling_keeps_expected_count(self, sample):
-        s = EventStream(sample=sample)
-        n = 1000
-        kept = sum(s.emit("k", i=i) for i in range(n))
-        # floor-difference sampling keeps exactly floor(n * sample) of n.
-        assert kept == math.floor(n * sample)
-
-    def test_sampling_is_deterministic(self):
-        def run():
-            s = EventStream(sample=0.3)
-            for i in range(100):
-                s.emit("k", i=i)
-            return [e["i"] for e in s.events]
-
-        assert run() == run()
-
-    def test_sampling_is_per_kind(self):
-        s = EventStream(sample=0.5)
-        for i in range(10):
-            s.emit("a", i=i)
-            s.emit("b", i=i)
-        assert len(s.of_kind("a")) == 5
-        assert len(s.of_kind("b")) == 5
-
-    def test_sample_zero_drops_all(self):
-        s = EventStream(sample=0.0)
-        assert not s.emit("x")
-        assert len(s) == 0
-
-
 class TestSerialization:
     def test_seq_numbers_are_contiguous(self):
         s = EventStream()
@@ -94,14 +55,6 @@ class TestSerialization:
         path = tmp_path / "events.jsonl"
         s.save(str(path))
         assert EventStream.load_jsonl(path.read_text()) == s.events
-
-    def test_sink_tee(self):
-        sink = io.StringIO()
-        s = EventStream(sink=sink)
-        s.emit("a", x=1)
-        lines = sink.getvalue().splitlines()
-        assert len(lines) == 1
-        assert '"kind": "a"' in lines[0]
 
     def test_of_kind_filters(self):
         s = EventStream()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import EventStream, Histogram, Telemetry, profiled
+from repro.obs import Histogram, Telemetry
 
 
 class TestCounters:
@@ -103,23 +103,6 @@ class TestPhases:
         assert {row[0] for row in rows} == {"sim.cold", "sim.steady"}
         assert sum(row[3] for row in rows) == pytest.approx(100.0, abs=0.5)
 
-    def test_profiled_decorator(self):
-        tele = Telemetry()
-
-        @tele.profiled("work")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert tele.phases["work"].calls == 1
-
-    def test_module_level_profiled_tolerates_none(self):
-        @profiled(None, "noop")
-        def f():
-            return 3
-
-        assert f() == 3
-
     def test_disabled_hub_records_no_phases(self):
         tele = Telemetry.disabled()
         with tele.phase("p"):
@@ -133,14 +116,6 @@ class TestPhases:
                 raise RuntimeError("x")
         assert tele.phases["boom"].calls == 1
         assert tele._phase_stack == []
-
-    def test_phase_end_emits_debug_event(self):
-        tele = Telemetry(events=EventStream(level="debug"))
-        with tele.phase("p"):
-            pass
-        kinds = [e["kind"] for e in tele.events.events]
-        assert kinds == ["phase.end"]
-        assert tele.events.events[0]["phase"] == "p"
 
 
 class TestSnapshot:

@@ -129,11 +129,6 @@ class TestEventTee:
         assert span.instant
         assert span.args == {"node": 7}  # kind/seq stripped
 
-    def test_phase_end_events_are_skipped(self):
-        tracer = make_tracer()
-        tracer.event_tee()({"kind": "phase.end", "phase": "sim"})
-        assert len(tracer.spans) == 0
-
 
 class TestSkeleton:
     def test_skeleton_is_sorted_and_timestamp_free(self):

@@ -10,7 +10,7 @@ This suite enforces that over a seeded matrix of
                           x {regular, irregular} workload
 
 plus multi-trip/observed/overhead runs, page-table translation (preserving
-and scrambled), and the observer fallback rules.
+and scrambled), and engine mode selection.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class TestTranslationEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Mode selection and the observer fallback
+# Mode selection
 # ---------------------------------------------------------------------------
 
 def _build(config, program):
@@ -300,49 +300,6 @@ class TestModeSelection:
     def test_invalid_config_mode_rejected(self):
         with pytest.raises(ValueError):
             DEFAULT_CONFIG.with_updates(engine_mode="turbo")
-
-
-class TestObserverFallback:
-    def test_access_batch_rejects_observer(self):
-        machine, _, _ = _build(DEFAULT_CONFIG, regular_program(72))
-        machine.observer = lambda tag, vaddr, is_write, timing: None
-        with pytest.raises(RuntimeError):
-            machine.access_batch(
-                0,
-                np.array([0, 32], dtype=np.int64),
-                np.array([False, False]),
-            )
-
-    def test_fast_engine_with_observer_matches_reference(self):
-        """An attached observer silently forces the scalar path."""
-        program = regular_program(216)
-        ref_stats, _ = run_mode(DEFAULT_CONFIG, program, "reference")
-
-        machine, trace, schedules = _build(DEFAULT_CONFIG, program)
-        seen = []
-        machine.observer = lambda tag, vaddr, is_write, timing: seen.append(tag)
-        engine = ExecutionEngine(machine, trace, mode="fast")
-        with pytest.warns(RuntimeWarning, match="scalar reference path"):
-            stats = engine.run(
-                [TripPlan(schedules=schedules, observe_label="obs")]
-            )
-        assert seen  # the observer really was fed per-access events
-        assert dataclasses.asdict(stats) == dataclasses.asdict(ref_stats)
-
-    def test_fallback_warns_once(self):
-        machine, trace, schedules = _build(DEFAULT_CONFIG, regular_program(144))
-        machine.observer = lambda tag, vaddr, is_write, timing: None
-        engine = ExecutionEngine(machine, trace, mode="fast")
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            engine.run([TripPlan(schedules=schedules)] * 2)
-        fallback = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-            and "scalar reference path" in str(w.message)
-        ]
-        assert len(fallback) == 1
 
 
 # ---------------------------------------------------------------------------
