@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
 from ..diagnostics import Diagnostic
@@ -22,6 +23,30 @@ from .index import SourceIndex
 from .rules import source_rules
 
 LINT_SCHEMA = "repro.lint/1"
+
+
+def load_lint_verdict(path: "str | Path") -> Dict[str, Any]:
+    """``{"path", "schema", "summary"}`` of a saved ``repro.lint/1``
+    report, for folding its verdict into another report (``repro bench
+    check --lint-report``).
+
+    Raises :class:`ValueError` naming the file when it is missing,
+    unreadable or not a ``repro.lint/1`` document.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValueError(f"lint report not found: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        raise ValueError(f"unreadable lint report: {path}") from None
+    if not isinstance(payload, dict) or payload.get("schema") != LINT_SCHEMA:
+        raise ValueError(f"not a {LINT_SCHEMA} artifact: {path}")
+    return {
+        "path": str(path),
+        "schema": LINT_SCHEMA,
+        "summary": payload.get("summary") or {},
+    }
 
 
 @dataclass

@@ -2,19 +2,20 @@
 
 Commands:
 
-* ``list``                          -- the 21 benchmarks and their metadata
+* ``list``                          -- the 21 benchmarks: Table 3's static
+                                       columns plus a description
 * ``analyze [APP ...] [--json F]``  -- static safety/legality verification
 * ``lint [--json F] [--paths P]``   -- source-level determinism &
                                        process-safety lint of the repo's
                                        own ``src/repro`` tree
-* ``run [APP ...] [--mapping M] [--workers N] [--cache-dir D] [--resume]``
+* ``run [APP ...] [--mapping M] [--workers N] [--cache-dir D]``
                                     -- simulate one or many apps; with
                                        ``--workers``/``--cache-dir`` the
                                        sweep runs sharded + memoized;
-                                       ``--trace [F]`` also records a span
-                                       trace of the whole sweep
-* ``trace [APP ...] --out F``       -- traced sweep -> merged Chrome/
-                                       Perfetto Trace Event JSON
+                                       ``--trace [F]`` also records a
+                                       validated span trace of the sweep;
+                                       ``--fault SPEC`` runs under a gated
+                                       fault plan
 * ``metrics APP [...]``             -- Prometheus-style text exposition of
                                        one instrumented run
 * ``bench {history,check}``         -- perf trajectory: list recorded
@@ -26,9 +27,9 @@ Commands:
                                        ``--workers N`` profiles a traced
                                        sweep incl. worker-side phases)
 * ``heatmap APP [--metric M] [...]``-- spatial traffic over the mesh
-* ``faults ACTION [APP ...]``       -- fault injection: validate plans,
-                                       run degraded machines, A/B the
-                                       fault-aware vs oblivious mapping
+* ``faults {list,compare} [APP ...]``-- fault plans: show the grammar or
+                                       render a plan; A/B the fault-aware
+                                       vs oblivious mapping
 * ``fuzz [--seed --iterations]``    -- differential fuzzing: random
                                        configs/workloads/faults through
                                        the fast-vs-reference and
@@ -36,7 +37,10 @@ Commands:
                                        metamorphic invariants; failures
                                        shrink to a replayable corpus
 * ``figure NAME [...]``             -- regenerate one paper figure's table
-* ``properties``                    -- Table 3 (static columns)
+
+Every ``--fault`` plan passes the static analyzer's FLT rules before any
+machine is built: a malformed spec exits 2, an illegal plan prints the
+FLT report and exits with the gate's code.
 
 Examples::
 
@@ -48,9 +52,9 @@ Examples::
     python -m repro compare mxm --scale 0.6
     python -m repro run nbf --mapping la --llc private
     python -m repro run --suite --workers 4 --cache-dir .repro-cache
-    python -m repro run mxm nbf --workers 2 --resume --json sweep.json
+    python -m repro run mxm nbf --workers 2 --cache-dir .repro-cache --json sweep.json
     python -m repro run --suite --workers 4 --trace run.trace.json
-    python -m repro trace mxm nbf --workers 2 --out sweep.trace.json
+    python -m repro run mxm nbf --fault "mc:1:throttle=0.5" --scale 0.2
     python -m repro metrics mxm --mapping la
     python -m repro bench history
     python -m repro bench check --json bench-check.json
@@ -70,7 +74,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analyze import (
     SCHEMA,
@@ -84,6 +88,7 @@ from repro.experiments import figures as fig
 from repro.experiments.harness import MAPPINGS, compare, run_workload
 from repro.experiments.report import print_table
 from repro.obs import LEVELS, EventStream, Telemetry
+from repro.obs.manifest import manifest_counters
 from repro.obs.render import (
     HEATMAP_METRICS,
     heatmap_csv,
@@ -112,10 +117,13 @@ FIGURES = {
     "fig17": fig.figure17_knl_scaling,
 }
 
+DEFAULT_CACHE_DIR = ".repro-cache"
+DEFAULT_BASELINE_NAME = "lint-baseline.json"
+
 
 def _config(args) -> SystemConfig:
     config = DEFAULT_CONFIG
-    if getattr(args, "llc", "shared") == "private":
+    if args.llc == "private":
         config = config.private_llc()
     return config
 
@@ -126,30 +134,52 @@ def _apps(raw: Optional[str]) -> Optional[List[str]]:
     return [a.strip() for a in raw.split(",") if a.strip()]
 
 
-def _fault_plan(args):
-    """Parse ``--fault`` specs into a FaultPlan (None when absent)."""
-    specs = getattr(args, "fault", None)
-    if not specs:
-        return None
-    from repro.faults import FaultPlan
+def _write_json(path: str, payload: Any) -> None:
+    """Write a command's ``--json FILE`` artifact (sorted keys)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"JSON -> {path}")
 
-    return FaultPlan.parse(specs)
+
+def _fault_plan(args, config: SystemConfig):
+    """Parse the ``--fault`` specs and gate the plan before any machine
+    is built.
+
+    Returns ``(plan, 0)`` -- ``plan`` is None without specs -- or, after
+    reporting why, ``(None, 2)`` for a malformed spec and ``(None, code)``
+    with the gate's exit code for a plan the FLT rules reject.
+    """
+    if not args.fault:
+        return None, 0
+    from repro.analyze import AnalysisError, gate
+    from repro.faults import FaultPlan, FaultPlanError
+
+    try:
+        plan = FaultPlan.parse(args.fault)
+    except FaultPlanError as exc:
+        print(f"invalid fault plan: {exc}", file=sys.stderr)
+        return None, 2
+    try:
+        gate(config=config, fault_plan=plan)
+    except AnalysisError as exc:
+        print(exc.report.render_text())
+        print("fault plan rejected by the static analyzer", file=sys.stderr)
+        return None, max(exc.report.exit_code, 1)
+    return plan, 0
 
 
 def cmd_list(args) -> int:
-    rows = []
-    for name in SUITE_ORDER:
-        workload = build_workload(name)
-        rows.append([
-            name,
-            "regular" if workload.regular else "irregular",
-            workload.num_loop_nests,
-            workload.num_arrays,
-            workload.description,
-        ])
     print_table(
-        ["benchmark", "class", "nests", "arrays", "description"], rows,
-        title="The 21-benchmark suite",
+        ["benchmark", "class", "nests", "arrays", "iteration sets",
+         "description"],
+        [
+            [r["benchmark"], "regular" if r["regular"] else "irregular",
+             r["loop_nests"], r["arrays"], r["iteration_sets"],
+             build_workload(r["benchmark"]).description]
+            for r in suite_properties()
+        ],
+        title="The 21-benchmark suite (Table 3 static columns)",
     )
     return 0
 
@@ -192,25 +222,16 @@ def cmd_analyze(args) -> int:
         + ("OK" if exit_code == 0 else "ILLEGAL")
     )
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "schema": SCHEMA,
             "summary": {**totals, "ok": exit_code == 0},
             "reports": [r.to_dict() for r in reports],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"JSON diagnostics -> {args.json}")
+        })
     return exit_code
-
-
-DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 
 def _default_baseline_path():
     """The checked-in repo baseline when present, else CWD's, else None."""
-    from pathlib import Path
-
     from repro.analyze.source import package_root
 
     repo_root = package_root().parent.parent
@@ -275,53 +296,31 @@ def cmd_lint(args) -> int:
 
     print(report.render_text(verbose=args.verbose))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json() + "\n")
-        print(f"lint report JSON -> {args.json}")
+        _write_json(args.json, report.to_dict())
     return report.exit_code
 
 
-DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def _resolve_cache_dir(args) -> Optional[str]:
-    """--cache-dir enables the result cache; --resume implies the default
-    location when no directory was given."""
-    if getattr(args, "cache_dir", ""):
-        return args.cache_dir
-    if getattr(args, "resume", False):
-        return DEFAULT_CACHE_DIR
-    return None
-
-
-def _resolve_compile_cache_dir(args) -> Optional[str]:
-    """--compile-cache-dir enables the on-disk compile artifact store;
-    a result cache directory implies ``<cache-dir>/compile``."""
-    if getattr(args, "compile_cache_dir", ""):
-        return args.compile_cache_dir
-    cache_dir = _resolve_cache_dir(args)
-    if cache_dir is not None:
-        return str(Path(cache_dir) / "compile")
-    return None
-
-
 def cmd_run(args) -> int:
-    apps = list(args.apps)
-    if args.suite:
-        apps = list(SUITE_ORDER)
+    apps = list(SUITE_ORDER) if args.suite else args.apps
     if not apps:
         print("no applications given (name apps or pass --suite)",
               file=sys.stderr)
         return 2
     config = _config(args)
-    cache_dir = _resolve_cache_dir(args)
-    compile_cache_dir = _resolve_compile_cache_dir(args)
-    fault_plan = _fault_plan(args)
-    fault_aware = not getattr(args, "no_fault_aware", False)
+    fault_plan, refused = _fault_plan(args, config)
+    if refused:
+        return refused
+    fault_aware = not args.no_fault_aware
+    cache_dir = args.cache_dir or None
+    # A result cache directory implies a compile store beneath it.
+    compile_cache_dir = args.compile_cache_dir or (
+        str(Path(cache_dir) / "compile") if cache_dir else None
+    )
 
     if (len(apps) == 1 and args.workers == 1 and cache_dir is None
             and not args.trace):
-        # The classic single-run path, unchanged.
+        # One run on the harness's seed, as compare, profile and the
+        # figures use; sweep cells derive their seed from the cell key.
         if compile_cache_dir is not None:
             from repro.compile import configure_compile_cache
 
@@ -396,17 +395,21 @@ def cmd_run(args) -> int:
     if summary["retries"] or summary["fallbacks"]:
         print(f"recovered: {summary['retries']} retri(es), "
               f"{summary['fallbacks']} in-process fallback(s)")
+    violations: List[str] = []
     if tracer is not None:
+        from repro.obs.tracing import validate_trace_events
+
         tracer.save(args.trace)
-        pids = tracer.worker_pids()
+        violations = validate_trace_events(
+            json.loads(Path(args.trace).read_text(encoding="utf-8"))
+        )
         print(f"trace: {len(tracer.spans)} span(s), "
-              f"{len(pids)} worker pid(s) -> {args.trace}")
+              f"{len(tracer.worker_pids())} worker pid(s) -> {args.trace}")
+        print(f"trace id: {tracer.context.trace_id}  schema: "
+              + ("; ".join(violations) or "OK"))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"sweep summary JSON -> {args.json}")
-    return 0
+        _write_json(args.json, summary)
+    return 1 if violations else 0
 
 
 def cmd_cache(args) -> int:
@@ -432,10 +435,6 @@ def cmd_cache(args) -> int:
     stats["compile"] = (
         compile_store.stats() if compile_store is not None else None
     )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(stats, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     print(f"cache at {stats['root']} (schema v{stats['schema']})")
     print(f"  entries:     {stats['entries']}")
     print(f"  bytes:       {stats['bytes']:,}")
@@ -447,6 +446,8 @@ def cmd_cache(args) -> int:
         print(f"  entries:     {compile_stats['entries']}")
         print(f"  bytes:       {compile_stats['bytes']:,}")
         print(f"  quarantined: {compile_stats['quarantined']}")
+    if args.json:
+        _write_json(args.json, stats)
     return 0
 
 
@@ -483,149 +484,100 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _run_with_telemetry(args, level: str = "off"):
-    """Shared profile/heatmap front half: one instrumented run."""
-    workload = build_workload(args.app)
-    config = _config(args)
+def _run_with_telemetry(args, level: str = "off", fault_plan=None):
+    """Shared profile/metrics/heatmap front half: one instrumented run."""
     telemetry = Telemetry(events=EventStream(level=level))
     result = run_workload(
-        workload, config, mapping=args.mapping, scale=args.scale,
-        telemetry=telemetry, fault_plan=_fault_plan(args),
-        fault_aware=not getattr(args, "no_fault_aware", False),
+        build_workload(args.app), _config(args), mapping=args.mapping,
+        scale=args.scale, telemetry=telemetry, fault_plan=fault_plan,
     )
-    return workload, config, telemetry, result
-
-
-def _profile_sweep(args) -> int:
-    """``profile --workers N``: a traced one-app sweep, incl. worker time.
-
-    The coordinator's own timers cannot see inside pool workers; the
-    workers' phase spans ride back to the coordinator tracer, and
-    :func:`repro.obs.phase_table` folds them per phase path.
-    """
-    from repro.exec import run_sweep, sweep_matrix, sweep_tracer
-    from repro.obs import phase_table
-
-    cells = sweep_matrix(
-        [args.app], _config(args), mappings=(args.mapping,),
-        scales=(args.scale,),
-    )
-    tracer = sweep_tracer(cells)
-    result = run_sweep(cells, workers=args.workers, tracer=tracer)
-    merged = phase_table(tracer.spans)
-    pids = result.worker_pids()
-    if args.json:
-        payload = {
-            "schema": "repro.profile/1",
-            "app": args.app,
-            "mapping": args.mapping,
-            "llc": args.llc,
-            "scale": args.scale,
-            "workers": args.workers,
-            "trace_id": tracer.context.trace_id,
-            "worker_pids": pids,
-            "phases": {path: rec.as_dict() for path, rec in merged.items()},
-        }
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    print(f"{args.app} [{args.mapping}, {args.llc} LLC, "
-          f"scale {args.scale}, workers {args.workers}]")
-    print()
-    print_table(
-        ["phase (worker-side)", "calls", "seconds"],
-        [[path, rec.calls, rec.seconds] for path, rec in merged.items()],
-        title="merged worker phase profile",
-        float_fmt="{:.4f}",
-    )
-    print(f"\nworker pids: "
-          f"{', '.join(str(p) for p in pids) or '(in-process)'}")
-    return 0
+    return telemetry, result
 
 
 def cmd_profile(args) -> int:
+    document: Dict[str, Any] = {
+        "schema": "repro.profile/1",
+        "app": args.app,
+        "mapping": args.mapping,
+        "llc": args.llc,
+        "scale": args.scale,
+        "workers": max(args.workers, 1),
+    }
     if args.workers > 1:
-        return _profile_sweep(args)
-    _, _, telemetry, result = _run_with_telemetry(args, level=args.level)
-    if args.events:
-        telemetry.events.save(args.events)
-    if args.json:
+        # A traced one-app sweep: the coordinator's own timers cannot see
+        # inside pool workers, so the workers' phase spans ride back to
+        # the coordinator tracer and phase_table folds them per path.
+        from repro.exec import run_sweep, sweep_matrix, sweep_tracer
+        from repro.obs import phase_table
+
+        cells = sweep_matrix(
+            [args.app], _config(args), mappings=(args.mapping,),
+            scales=(args.scale,),
+        )
+        tracer = sweep_tracer(cells)
+        result = run_sweep(cells, workers=args.workers, tracer=tracer)
+        pids = result.worker_pids()
+        merged = phase_table(tracer.spans)
+        document.update(
+            trace_id=tracer.context.trace_id,
+            worker_pids=pids,
+            phases={path: rec.as_dict() for path, rec in merged.items()},
+        )
+        if not args.json:
+            print(f"{args.app} [{args.mapping}, {args.llc} LLC, "
+                  f"scale {args.scale}, workers {args.workers}]")
+            print()
+            print_table(
+                ["phase (worker-side)", "calls", "seconds"],
+                [[path, rec.calls, rec.seconds]
+                 for path, rec in merged.items()],
+                title="merged worker phase profile",
+                float_fmt="{:.4f}",
+            )
+            print(f"\nworker pids: "
+                  f"{', '.join(str(p) for p in pids) or '(in-process)'}")
+    else:
+        telemetry, result = _run_with_telemetry(args, level=args.level)
+        if args.events:
+            telemetry.events.save(args.events)
+        stats = result.stats
         snap = telemetry.snapshot()
-        payload = {
-            "schema": "repro.profile/1",
-            "app": args.app,
-            "mapping": args.mapping,
-            "llc": args.llc,
-            "scale": args.scale,
-            "workers": 1,
-            "counters": snap["counters"],
-            "histograms": snap["histograms"],
-            "phases": snap["phases"],
-            "manifest": result.stats.manifest,
-            "stats": {
-                "execution_cycles": result.stats.execution_cycles,
-                "avg_network_latency": result.stats.avg_network_latency,
-                "avg_hops": result.stats.avg_hops,
-                "l1_hit_rate": result.stats.l1_hit_rate,
-                "llc_miss_rate": result.stats.llc_miss_rate,
+        document.update(
+            counters=manifest_counters(stats.manifest),
+            histograms=snap["histograms"],
+            phases=snap["phases"],
+            manifest=stats.manifest,
+            stats={
+                "execution_cycles": stats.execution_cycles,
+                "avg_network_latency": stats.avg_network_latency,
+                "avg_hops": stats.avg_hops,
+                "l1_hit_rate": stats.l1_hit_rate,
+                "llc_miss_rate": stats.llc_miss_rate,
             },
-        }
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        )
+        if not args.json:
+            print(f"{args.app} [{args.mapping}, {args.llc} LLC, "
+                  f"scale {args.scale}]")
+            print()
+            print(render_phase_table(telemetry))
+            print()
+            print(render_histograms(telemetry))
+            print()
+            print(render_manifest(stats.manifest))
+            if args.events:
+                print(f"\n{len(telemetry.events.events)} events -> "
+                      f"{args.events}")
+    if args.json:
+        json.dump(document, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-        return 0
-    print(f"{args.app} [{args.mapping}, {args.llc} LLC, scale {args.scale}]")
-    print()
-    print(render_phase_table(telemetry))
-    print()
-    print(render_histograms(telemetry))
-    print()
-    print(render_manifest(result.stats.manifest))
-    if args.events:
-        print(f"\n{len(telemetry.events.events)} events -> {args.events}")
     return 0
-
-
-def cmd_trace(args) -> int:
-    """One traced sweep exported as Chrome/Perfetto Trace Event JSON."""
-    from repro.exec import run_sweep, sweep_matrix, sweep_tracer
-    from repro.obs.tracing import validate_trace_events
-
-    apps = list(args.apps)
-    if args.suite:
-        apps = list(SUITE_ORDER)
-    if not apps:
-        print("no applications given (name apps or pass --suite)",
-              file=sys.stderr)
-        return 2
-    cells = sweep_matrix(
-        apps, _config(args), mappings=(args.mapping,), scales=(args.scale,),
-    )
-    tracer = sweep_tracer(cells)
-    result = run_sweep(
-        cells, workers=args.workers, cache_dir=_resolve_cache_dir(args),
-        tracer=tracer,
-    )
-    tracer.save(args.out)
-    violations = validate_trace_events(json.loads(tracer.to_trace_json()))
-    pids = tracer.worker_pids()
-    summary = result.summary()
-    print(f"trace id: {tracer.context.trace_id}")
-    print(f"  cells:       {len(cells)}")
-    print(f"  spans:       {len(tracer.spans)}")
-    print(f"  worker pids: {len(pids)}"
-          + (f" ({', '.join(str(p) for p in pids)})" if pids else ""))
-    print(f"  wall time:   {summary['wall_seconds']:.2f}s")
-    print("  schema:      "
-          + ("OK" if not violations else "; ".join(violations)))
-    print(f"-> {args.out}  (load in chrome://tracing or ui.perfetto.dev)")
-    return 0 if not violations else 1
 
 
 def cmd_metrics(args) -> int:
     """Prometheus-style text exposition of one instrumented run."""
     from repro.obs.metrics import prometheus_text
 
-    _, _, telemetry, _ = _run_with_telemetry(args, level="decisions")
+    telemetry, _ = _run_with_telemetry(args, level="decisions")
     text = prometheus_text(
         telemetry, labels={"app": args.app, "mapping": args.mapping},
     )
@@ -638,37 +590,9 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _bench_lint_verdict(path_arg: str):
-    """Load a ``repro.lint/1`` artifact for the bench-check verdict line.
-
-    Returns None when no artifact is present (explicit ``--lint-report``
-    path missing, or no ``repro_lint.json`` in the CWD).
-    """
-    from pathlib import Path
-
-    candidate = Path(path_arg) if path_arg else Path("repro_lint.json")
-    if not candidate.exists():
-        if path_arg:
-            print(f"lint report not found: {candidate}", file=sys.stderr)
-        return None
-    try:
-        payload = json.loads(candidate.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        print(f"unreadable lint report: {candidate}", file=sys.stderr)
-        return None
-    if not isinstance(payload, dict) or payload.get("schema") != "repro.lint/1":
-        print(f"not a repro.lint/1 artifact: {candidate}", file=sys.stderr)
-        return None
-    summary = payload.get("summary") or {}
-    return {
-        "path": str(candidate),
-        "schema": payload["schema"],
-        "summary": summary,
-    }
-
-
 def cmd_bench(args) -> int:
     """The perf-regression watch over ``benchmarks/history/*.jsonl``."""
+    from repro.analyze.source.report import load_lint_verdict
     from repro.obs.bench import check_history, load_history
 
     history_dir = args.dir or None
@@ -694,10 +618,7 @@ def cmd_bench(args) -> int:
             title="bench trajectory",
         )
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(series, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"history JSON -> {args.json}")
+            _write_json(args.json, series)
         return 0
 
     report = check_history(history_dir, tolerance=args.tolerance)
@@ -722,21 +643,24 @@ def cmd_bench(args) -> int:
         )
     else:
         print("no recorded bench history to check")
-    lint = _bench_lint_verdict(getattr(args, "lint_report", ""))
-    if lint is not None:
-        summary = lint["summary"]
-        print(
-            f"lint: {'OK' if summary.get('ok') else 'FAIL'} "
-            f"({summary.get('active', '?')} active finding(s) over "
-            f"{summary.get('files', '?')} file(s), "
-            f"artifact {lint['path']})"
-        )
-        report["lint"] = lint
+    # Without --lint-report, fold in repro_lint.json only when it exists.
+    lint_path = Path(args.lint_report or "repro_lint.json")
+    if args.lint_report or lint_path.exists():
+        try:
+            lint = load_lint_verdict(lint_path)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+        else:
+            summary = lint["summary"]
+            print(
+                f"lint: {'OK' if summary.get('ok') else 'FAIL'} "
+                f"({summary.get('active', '?')} active finding(s) over "
+                f"{summary.get('files', '?')} file(s), "
+                f"artifact {lint['path']})"
+            )
+            report["lint"] = lint
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"check report JSON -> {args.json}")
+        _write_json(args.json, report)
     if not report["ok"]:
         for regression in report["regressions"]:
             print(f"REGRESSION: {regression['series']}.{regression['metric']} "
@@ -748,9 +672,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    _, config, telemetry, _ = _run_with_telemetry(args)
+    config = _config(args)
+    plan, refused = _fault_plan(args, config)
+    if refused:
+        return refused
+    telemetry, _ = _run_with_telemetry(args, fault_plan=plan)
     mesh = config.build_mesh()
-    plan = _fault_plan(args)
     if plan is not None and args.format != "csv":
         print(render_fault_overlay(
             mesh, plan, title=f"{args.app} -- injected faults"
@@ -775,31 +702,20 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    """Fault injection: describe plans, run under faults, A/B mappings."""
+    """Fault plans: show the grammar or render a plan; A/B the mappings."""
     import math
 
-    from repro.analyze import AnalysisError, gate as analyze_gate
-    from repro.faults import FaultPlan, FaultPlanError
+    from repro.faults.plan import SPEC_GRAMMAR
 
     config = _config(args)
-    try:
-        plan = _fault_plan(args)
-    except FaultPlanError as exc:
-        print(f"invalid fault plan: {exc}", file=sys.stderr)
-        return 2
+    plan, refused = _fault_plan(args, config)
+    if refused:
+        return refused
 
     if args.action == "list":
         if plan is None:
             print("fault spec grammar:")
-            print("  link:X1,Y1->X2,Y2:down        directed link dead")
-            print("  link:X1,Y1->X2,Y2:throttle=F  link at fraction F "
-                  "(0 < F < 1)")
-            print("  mc:I:offline                  MC I offline "
-                  "(pages re-interleave)")
-            print("  mc:I:throttle=F               MC I at fraction F speed")
-            print("  bank:B:offline                LLC bank B offline "
-                  "(sets re-hash)")
-            print("  router:X,Y:hotspot=+Ncyc      router adds N cycles/hop")
+            print(SPEC_GRAMMAR)
             print("\npass one or more --fault specs to render a plan")
             return 0
         print(f"plan hash: {plan.plan_hash()}  ({len(plan)} fault(s))")
@@ -811,69 +727,16 @@ def cmd_faults(args) -> int:
     if plan is None:
         print("no --fault specs given", file=sys.stderr)
         return 2
-    apps = list(args.apps)
-    if not apps:
+    if not args.apps:
         print("no applications given", file=sys.stderr)
         return 2
-
-    # Gate first: FLT001-003 must pass before any machine is built.  This
-    # is also the negative-control path CI exercises with illegal plans.
-    try:
-        analyze_gate(config=config, fault_plan=plan)
-    except AnalysisError as exc:
-        print(exc.report.render_text())
-        print("fault plan rejected by the static analyzer", file=sys.stderr)
-        return max(exc.report.exit_code, 1)
-
-    fault_aware = not getattr(args, "no_fault_aware", False)
-    if args.action == "inject":
-        print(render_fault_overlay(
-            config.build_mesh(), plan, title="injected faults"
-        ))
-        rows = []
-        records = []
-        for app in apps:
-            result = run_workload(
-                build_workload(app), config, mapping=args.mapping,
-                scale=args.scale, fault_plan=plan, fault_aware=fault_aware,
-            )
-            s = result.stats
-            rows.append([
-                app, s.execution_cycles, s.avg_network_latency, s.avg_hops,
-            ])
-            records.append({
-                "app": app,
-                "mapping": args.mapping,
-                "fault_aware": fault_aware,
-                "execution_cycles": s.execution_cycles,
-                "avg_network_latency": s.avg_network_latency,
-                "avg_hops": s.avg_hops,
-            })
-        print_table(
-            ["app", "cycles", "net latency", "avg hops"], rows,
-            title=(f"fault injection [{args.mapping}, "
-                   f"{'aware' if fault_aware else 'oblivious'}, "
-                   f"plan {plan.plan_hash()}]"),
-            float_fmt="{:.2f}",
-        )
-        if args.json:
-            payload = {
-                "plan": list(plan.to_specs()),
-                "plan_hash": plan.plan_hash(),
-                "runs": records,
-            }
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"JSON diagnostics -> {args.json}")
-        return 0
 
     # compare: fault-aware vs fault-oblivious location-aware mapping on
     # the *same* degraded machine.
     rows = []
     records = []
     ratios = []
-    for app in apps:
+    for app in args.apps:
         workload = build_workload(app)
         aware = run_workload(
             workload, config, mapping="la", scale=args.scale,
@@ -908,18 +771,14 @@ def cmd_faults(args) -> int:
           + ("fault-aware mapping degrades gracefully (<= oblivious)"
              if ok else "fault-aware mapping LOST to oblivious"))
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "plan": list(plan.to_specs()),
             "plan_hash": plan.plan_hash(),
             "scale": args.scale,
             "apps": records,
             "geomean_ratio": geomean_ratio,
             "fault_aware_wins": ok,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"JSON diagnostics -> {args.json}")
+        })
     return 0 if ok else 1
 
 
@@ -947,20 +806,14 @@ def cmd_fuzz(args) -> int:
         if "corpus_path" in div:
             print(f"    corpus entry: {div['corpus_path']}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"JSON report -> {args.json}")
+        _write_json(args.json, report)
     return 0 if report["ok"] else 1
 
 
 def cmd_figure(args) -> int:
-    func = FIGURES.get(args.name)
-    if func is None:
-        print(f"unknown figure {args.name!r}; one of: "
-              f"{', '.join(sorted(FIGURES))}", file=sys.stderr)
-        return 2
-    kwargs = {}
+    import pprint
+
+    kwargs: Dict[str, Any] = {}
     apps = _apps(args.apps)
     if apps is not None:
         kwargs["apps"] = apps  # otherwise each figure uses its own default
@@ -968,25 +821,200 @@ def cmd_figure(args) -> int:
         kwargs["base_scale"] = args.scale
     else:
         kwargs["scale"] = args.scale
-    result = func(**kwargs)
-    import pprint
-
-    pprint.pprint(result)
+    pprint.pprint(FIGURES[args.name](**kwargs))
     return 0
 
 
-def cmd_properties(args) -> int:
-    rows = suite_properties()
-    print_table(
-        ["benchmark", "nests", "arrays", "iteration sets", "regular"],
-        [
-            [r["benchmark"], r["loop_nests"], r["arrays"],
-             r["iteration_sets"], r["regular"]]
-            for r in rows
-        ],
-        title="Table 3: benchmark properties (static columns)",
-    )
-    return 0
+# ----------------------------------------------------------------------
+# The command table: each subcommand once, as (name, help, handler,
+# argument specs); the arguments several commands take are defined once.
+# ----------------------------------------------------------------------
+ArgSpec = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*flags: str, **spec: Any) -> ArgSpec:
+    return flags, spec
+
+
+def _mapping(default: str) -> ArgSpec:
+    return _arg("--mapping", default=default, choices=MAPPINGS)
+
+
+def _scale(default: float = 1.0) -> ArgSpec:
+    return _arg("--scale", type=float, default=default)
+
+
+APP = _arg("app", choices=SUITE_ORDER)
+APPS = _arg("apps", nargs="*", choices=[[]] + list(SUITE_ORDER),
+            help="benchmarks (analyze defaults to the whole suite; run "
+                 "takes --suite for all 21)")
+LLC = _arg("--llc", default="shared", choices=("shared", "private"))
+WORKERS = _arg("--workers", type=int, default=1,
+               help="process-pool width (default 1 = serial)")
+JSON_FILE = _arg("--json", default="", metavar="FILE",
+                 help="also write the machine-readable result to this file")
+FAULT = _arg("--fault", action="append", default=[], metavar="SPEC",
+             help="inject a fault (repeatable); the plan must pass the "
+                  "FLT rules; see 'repro faults list' for the grammar")
+NO_FAULT_AWARE = _arg("--no-fault-aware", action="store_true",
+                      help="keep the mapping oblivious to injected faults "
+                           "(A/B baseline)")
+ONE_RUN = (APP, _mapping("la"), LLC, _scale())
+
+Handler = Callable[[argparse.Namespace], int]
+
+COMMANDS: Tuple[Tuple[str, str, Handler, Tuple[ArgSpec, ...]], ...] = (
+    ("list", "the benchmark suite with Table 3's static columns",
+     cmd_list, ()),
+    ("analyze", "static verification: parallel safety + mapping legality",
+     cmd_analyze, (
+         APPS,
+         _arg("--all", action="store_true", dest="all_apps",
+              help="analyze the whole bundled suite (the default)"),
+         _arg("--fixture", default="", choices=[""] + fixture_names(),
+              help="also analyze a deliberately-flawed fixture workload"),
+         _arg("--config-only", action="store_true",
+              help="check only the machine configuration invariants"),
+         LLC,
+         JSON_FILE,
+         _arg("--verbose", action="store_true",
+              help="also print info-severity findings (certificates)"),
+         _arg("--list-rules", action="store_true",
+              help="print the rule catalogue and exit"),
+     )),
+    ("lint", "source-level determinism & process-safety lint of src/repro",
+     cmd_lint, (
+         _arg("--paths", nargs="+", default=[], metavar="PATH",
+              help="lint these files/directories instead of the "
+                   "installed repro package"),
+         _arg("--zone", action="append", default=[],
+              choices=("id", "serialize", "report", "retry", "dispatch"),
+              help="additionally apply this determinism zone to every "
+                   "linted module (repeatable; for --paths over loose "
+                   "files)"),
+         _arg("--baseline", default="",
+              help=f"baseline file (default: {DEFAULT_BASELINE_NAME} at "
+                   "the repo root or CWD when present)"),
+         _arg("--update-baseline", action="store_true",
+              help="grandfather every active finding into the baseline "
+                   "file (escape hatch; policy is to fix)"),
+         _arg("--list-rules", action="store_true",
+              help="show the source-rule catalogue and exit"),
+         _arg("--verbose", action="store_true",
+              help="also show suppressed and baselined findings"),
+         JSON_FILE,
+     )),
+    ("run", "simulate one application, or a sharded sweep of many",
+     cmd_run, (
+         APPS,
+         _mapping("default"),
+         LLC,
+         _scale(),
+         _arg("--gate", action="store_true",
+              help="run the static analyzer first; refuse to simulate on "
+                   "error findings"),
+         _arg("--suite", action="store_true",
+              help="run the whole 21-benchmark suite"),
+         WORKERS,
+         _arg("--cache-dir", default="",
+              help="memoize completed cells in this content-addressed "
+                   "cache directory"),
+         _arg("--compile-cache-dir", default="",
+              help="persist compile-side artifacts (CME estimates, "
+                   "affinities, proximity tables) in this directory "
+                   "(default: <cache-dir>/compile when --cache-dir is "
+                   "given)"),
+         JSON_FILE,
+         _arg("--trace", nargs="?", const="run.trace.json", default="",
+              metavar="FILE",
+              help="record a span trace of the sweep to this Trace Event "
+                   "JSON file (default: run.trace.json), validate it and "
+                   "exit 1 on a schema violation"),
+         FAULT,
+         NO_FAULT_AWARE,
+     )),
+    ("metrics", "Prometheus-style text metrics of one instrumented run",
+     cmd_metrics, (
+         *ONE_RUN,
+         _arg("--out", default="",
+              help="write the exposition to this file instead of stdout"),
+     )),
+    ("bench", "perf trajectory: list recorded BENCH points, flag regressions",
+     cmd_bench, (
+         _arg("action", choices=("history", "check"),
+              help="history: list the recorded trajectory; check: flag "
+                   "latest-vs-trajectory regressions"),
+         _arg("--dir", default="",
+              help="history directory (default: benchmarks/history)"),
+         _arg("--tolerance", type=float, default=0.10,
+              help="noise band for 'check' (default: 0.10 = 10%%)"),
+         JSON_FILE,
+         _arg("--lint-report", default="",
+              help="repro.lint/1 artifact for 'check' to fold into its "
+                   "verdict (default: repro_lint.json in the CWD when "
+                   "present)"),
+     )),
+    ("cache", "inspect or clear a sweep result cache", cmd_cache, (
+        _arg("action", choices=("stats", "clear")),
+        _arg("--cache-dir", default="",
+             help=f"cache directory (default: {DEFAULT_CACHE_DIR})"),
+        JSON_FILE,
+    )),
+    ("compare", "default vs optimized mapping", cmd_compare, ONE_RUN),
+    ("profile", "phase breakdown, distributions, run manifest",
+     cmd_profile, (
+         *ONE_RUN,
+         _arg("--level", default="decisions", choices=LEVELS,
+              help="event stream verbosity"),
+         _arg("--events", default="",
+              help="write the event stream to this JSONL file"),
+         _arg("--json", action="store_true",
+              help="machine-readable profile on stdout (stable key order) "
+                   "instead of the tables"),
+         WORKERS,
+     )),
+    ("heatmap", "spatial traffic heatmaps over the mesh", cmd_heatmap, (
+        *ONE_RUN,
+        _arg("--metric", default="mc", choices=HEATMAP_METRICS + ("all",)),
+        _arg("--format", default="ascii", choices=("ascii", "csv")),
+        FAULT,
+    )),
+    ("faults", "fault plans: grammar, plan overlay, aware vs oblivious A/B",
+     cmd_faults, (
+         _arg("action", choices=("list", "compare"),
+              help="list: render/validate a plan (or show the grammar); "
+                   "compare: fault-aware vs oblivious mapping"),
+         APPS,
+         FAULT,
+         LLC,
+         _scale(0.2),
+         JSON_FILE,
+     )),
+    ("fuzz", "differential fuzzing: random configs through the "
+             "fast/reference and serial/parallel oracles plus metamorphic "
+             "invariants; failures shrink to a corpus",
+     cmd_fuzz, (
+         _arg("--seed", type=int, default=7,
+              help="master seed; each case derives from (seed, index)"),
+         _arg("--iterations", type=int, default=25,
+              help="number of cases to generate and check"),
+         _arg("--time-budget", type=float, default=None, metavar="SEC",
+              help="stop generating new cases after this many seconds "
+                   "(the in-flight case always completes)"),
+         _arg("--shrink", action=argparse.BooleanOptionalAction,
+              default=True,
+              help="minimize failing cases before reporting/filing"),
+         _arg("--corpus-dir", default="",
+              help="file shrunk divergences as replayable JSON entries in "
+                   "this directory"),
+         JSON_FILE,
+     )),
+    ("figure", "regenerate one figure's data", cmd_figure, (
+        _arg("name", choices=sorted(FIGURES)),
+        _arg("--apps", default=""),
+        _scale(),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -995,260 +1023,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the benchmark suite")
-    sub.add_parser("properties", help="Table 3 static columns")
-
-    p = sub.add_parser(
-        "analyze",
-        help="static verification: parallel safety + mapping legality",
-    )
-    p.add_argument("apps", nargs="*", choices=[[]] + list(SUITE_ORDER),
-                   help="benchmarks to analyze (default: the whole suite)")
-    p.add_argument("--all", action="store_true", dest="all_apps",
-                   help="analyze the whole bundled suite (the default)")
-    p.add_argument("--fixture", default="", choices=[""] + fixture_names(),
-                   help="also analyze a deliberately-flawed fixture workload")
-    p.add_argument("--config-only", action="store_true",
-                   help="check only the machine configuration invariants")
-    p.add_argument("--llc", default="shared", choices=("shared", "private"))
-    p.add_argument("--json", default="",
-                   help="write machine-readable diagnostics to this file")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print info-severity findings (certificates)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
-
-    for name, help_text in (
-        ("run", "simulate one application, or a sharded sweep of many"),
-        ("compare", "default vs optimized mapping"),
-        ("profile", "phase breakdown, distributions, run manifest"),
-        ("heatmap", "spatial traffic heatmaps over the mesh"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name == "run":
-            p.add_argument("apps", nargs="*", choices=[[]] + list(SUITE_ORDER),
-                           help="applications to run (default: none; "
-                                "--suite selects all 21)")
-        else:
-            p.add_argument("app", choices=SUITE_ORDER)
-        p.add_argument("--mapping", default="default" if name == "run" else
-                       "la", choices=MAPPINGS)
-        p.add_argument("--llc", default="shared",
-                       choices=("shared", "private"))
-        p.add_argument("--scale", type=float, default=1.0)
-        if name == "run":
-            p.add_argument("--gate", action="store_true",
-                           help="run the static analyzer first; refuse to "
-                                "simulate on error findings")
-            p.add_argument("--suite", action="store_true",
-                           help="run the whole 21-benchmark suite")
-            p.add_argument("--workers", type=int, default=1,
-                           help="process-pool width for the sweep path "
-                                "(default 1 = serial)")
-            p.add_argument("--cache-dir", default="",
-                           help="memoize completed cells in this "
-                                "content-addressed cache directory")
-            p.add_argument("--compile-cache-dir", default="",
-                           help="persist compile-side artifacts (CME "
-                                "estimates, affinities, proximity tables) "
-                                "in this directory (default: "
-                                "<cache-dir>/compile when --cache-dir is "
-                                "given)")
-            p.add_argument("--resume", action="store_true",
-                           help="reuse completed cells from the cache "
-                                f"(default dir: {DEFAULT_CACHE_DIR})")
-            p.add_argument("--json", default="",
-                           help="write the sweep summary (cache hits, "
-                                "wall time) to this JSON file")
-            p.add_argument("--trace", nargs="?", const="run.trace.json",
-                           default="", metavar="FILE",
-                           help="record a span trace of the sweep to this "
-                                "Trace Event JSON file (default: "
-                                "run.trace.json)")
-        if name == "profile":
-            p.add_argument("--level", default="decisions", choices=LEVELS,
-                           help="event stream verbosity")
-            p.add_argument("--events", default="",
-                           help="write the event stream to this JSONL file")
-            p.add_argument("--json", action="store_true",
-                           help="machine-readable profile on stdout "
-                                "(stable key order) instead of the tables")
-            p.add_argument("--workers", type=int, default=1,
-                           help="profile a traced sweep of this app over N "
-                                "pool workers (shows worker-side phases)")
-        if name == "heatmap":
-            p.add_argument("--metric", default="mc",
-                           choices=HEATMAP_METRICS + ("all",))
-            p.add_argument("--format", default="ascii",
-                           choices=("ascii", "csv"))
-        if name in ("run", "heatmap"):
-            p.add_argument("--fault", action="append", default=[],
-                           metavar="SPEC",
-                           help="inject a fault (repeatable); see "
-                                "'repro faults list' for the grammar")
-        if name == "run":
-            p.add_argument("--no-fault-aware", action="store_true",
-                           help="keep the mapping oblivious to injected "
-                                "faults (A/B baseline)")
-
-    p = sub.add_parser(
-        "trace",
-        help="traced sweep -> merged Chrome/Perfetto Trace Event JSON",
-    )
-    p.add_argument("apps", nargs="*", choices=[[]] + list(SUITE_ORDER),
-                   help="applications to trace (or pass --suite)")
-    p.add_argument("--suite", action="store_true",
-                   help="trace the whole 21-benchmark suite")
-    p.add_argument("--mapping", default="default", choices=MAPPINGS)
-    p.add_argument("--llc", default="shared", choices=("shared", "private"))
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool width (default 1 = serial)")
-    p.add_argument("--cache-dir", default="",
-                   help="memoize cells in this cache directory "
-                        "(cache hits appear as instant spans)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed cells from the cache "
-                        f"(default dir: {DEFAULT_CACHE_DIR})")
-    p.add_argument("--out", default="run.trace.json",
-                   help="output Trace Event JSON file "
-                        "(default: run.trace.json)")
-
-    p = sub.add_parser(
-        "metrics",
-        help="Prometheus-style text metrics of one instrumented run",
-    )
-    p.add_argument("app", choices=SUITE_ORDER)
-    p.add_argument("--mapping", default="la", choices=MAPPINGS)
-    p.add_argument("--llc", default="shared", choices=("shared", "private"))
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--out", default="",
-                   help="write the exposition to this file instead of "
-                        "stdout")
-
-    p = sub.add_parser(
-        "bench",
-        help="perf trajectory: list recorded BENCH points, flag regressions",
-    )
-    p.add_argument("action", choices=("history", "check"),
-                   help="history: list the recorded trajectory; check: "
-                        "flag latest-vs-trajectory regressions")
-    p.add_argument("--dir", default="",
-                   help="history directory (default: benchmarks/history)")
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="noise band for 'check' (default: 0.10 = 10%%)")
-    p.add_argument("--json", default="",
-                   help="also write the machine-readable report to this "
-                        "file")
-    p.add_argument("--lint-report", default="",
-                   help="repro.lint/1 artifact for 'check' to fold into "
-                        "its verdict (default: repro_lint.json in the "
-                        "CWD when present)")
-
-    p = sub.add_parser(
-        "lint",
-        help="source-level determinism & process-safety lint of src/repro",
-    )
-    p.add_argument("--paths", nargs="+", default=[], metavar="PATH",
-                   help="lint these files/directories instead of the "
-                        "installed repro package")
-    p.add_argument("--zone", action="append", default=[],
-                   choices=("id", "serialize", "report", "retry",
-                            "dispatch"),
-                   help="additionally apply this determinism zone to "
-                        "every linted module (repeatable; for --paths "
-                        "over loose files)")
-    p.add_argument("--baseline", default="",
-                   help=f"baseline file (default: {DEFAULT_BASELINE_NAME} "
-                        "at the repo root or CWD when present)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="grandfather every active finding into the "
-                        "baseline file (escape hatch; policy is to fix)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="show the source-rule catalogue and exit")
-    p.add_argument("--verbose", action="store_true",
-                   help="also show suppressed and baselined findings")
-    p.add_argument("--json", default="",
-                   help="write the repro.lint/1 report to this file")
-
-    p = sub.add_parser("cache", help="inspect or clear a sweep result cache")
-    p.add_argument("action", choices=("stats", "clear"))
-    p.add_argument("--cache-dir", default="",
-                   help=f"cache directory (default: {DEFAULT_CACHE_DIR})")
-    p.add_argument("--json", default="",
-                   help="also write the stats to this JSON file")
-
-    p = sub.add_parser(
-        "faults",
-        help="fault injection: describe plans, run degraded, A/B mappings",
-    )
-    p.add_argument("action", choices=("list", "inject", "compare"),
-                   help="list: render/validate a plan (or show the "
-                        "grammar); inject: simulate apps under the plan; "
-                        "compare: fault-aware vs oblivious mapping")
-    p.add_argument("apps", nargs="*", choices=[[]] + list(SUITE_ORDER),
-                   help="applications (inject/compare)")
-    p.add_argument("--fault", action="append", default=[], metavar="SPEC",
-                   help="fault spec (repeatable)")
-    p.add_argument("--mapping", default="la", choices=MAPPINGS,
-                   help="mapping for 'inject' (compare always runs la)")
-    p.add_argument("--llc", default="shared", choices=("shared", "private"))
-    p.add_argument("--scale", type=float, default=0.2)
-    p.add_argument("--no-fault-aware", action="store_true",
-                   help="oblivious mapping for 'inject'")
-    p.add_argument("--json", default="",
-                   help="write per-app diagnostics to this JSON file")
-
-    p = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing: random configs through the "
-             "fast/reference and serial/parallel oracles plus "
-             "metamorphic invariants; failures shrink to a corpus",
-    )
-    p.add_argument("--seed", type=int, default=7,
-                   help="master seed; each case derives from (seed, index)")
-    p.add_argument("--iterations", type=int, default=25,
-                   help="number of cases to generate and check")
-    p.add_argument("--time-budget", type=float, default=None, metavar="SEC",
-                   help="stop generating new cases after this many seconds "
-                        "(the in-flight case always completes)")
-    p.add_argument("--shrink", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="minimize failing cases before reporting/filing")
-    p.add_argument("--corpus-dir", default="",
-                   help="file shrunk divergences as replayable JSON "
-                        "entries in this directory")
-    p.add_argument("--json", default="",
-                   help="write the repro.fuzz/1 report to this file")
-
-    p = sub.add_parser("figure", help="regenerate one figure's data")
-    p.add_argument("name", choices=sorted(FIGURES))
-    p.add_argument("--apps", default="")
-    p.add_argument("--scale", type=float, default=1.0)
+    for name, help_text, handler, specs in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flags, spec in specs:
+            command.add_argument(*flags, **spec)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "list": cmd_list,
-        "analyze": cmd_analyze,
-        "lint": cmd_lint,
-        "run": cmd_run,
-        "trace": cmd_trace,
-        "metrics": cmd_metrics,
-        "bench": cmd_bench,
-        "cache": cmd_cache,
-        "compare": cmd_compare,
-        "profile": cmd_profile,
-        "heatmap": cmd_heatmap,
-        "faults": cmd_faults,
-        "fuzz": cmd_fuzz,
-        "figure": cmd_figure,
-        "properties": cmd_properties,
-    }
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.exec.cache import ResultCache
 
@@ -36,6 +36,17 @@ DEFAULT_MEMORY_ENTRIES = 256
 """In-process LRU capacity (payload count, all artifact kinds pooled)."""
 
 _OUTCOME_TOTALS = {"hit": "hits", "miss": "misses", "store": "stores"}
+
+
+def traffic_totals(counts: Iterable[Tuple[str, int]]) -> Dict[str, int]:
+    """hits / misses / stores summed over ``("<kind>.<outcome>", n)``
+    counter items, whichever caches, runs or cells they came from."""
+    out = {"hits": 0, "misses": 0, "stores": 0}
+    for name, count in counts:
+        total_key = _OUTCOME_TOTALS.get(name.rpartition(".")[2])
+        if total_key is not None:
+            out[total_key] += count
+    return out
 
 
 class CompileCache:
@@ -55,8 +66,8 @@ class CompileCache:
         )
         self.memory_entries = memory_entries
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
-        # Flat "<kind>.<outcome>" counters (e.g. "estimates.hit"); the
-        # run manifest and sweep summaries aggregate them via totals().
+        # Flat "<kind>.<outcome>" counters (e.g. "estimates.hit"); run
+        # manifests and sweep cells record counters_since() deltas.
         self.counters: Dict[str, int] = {}
 
     # -- lookup ---------------------------------------------------------
@@ -68,7 +79,6 @@ class CompileCache:
         kind: str,
         material: Dict[str, Any],
         build: Callable[[], Any],
-        telemetry: Any = None,
     ) -> Any:
         """The memoized JSON payload for (kind, material).
 
@@ -82,22 +92,22 @@ class CompileCache:
         cached = self._memory.get(key)
         if cached is not None:
             self._memory.move_to_end(key)
-            self._count(kind, "hit", telemetry)
+            self._count(kind, "hit")
             return cached
         if self.store is not None:
             entry = self.store.get(key)
             if entry is not None:
                 payload = entry["data"]
                 self._remember(key, payload)
-                self._count(kind, "hit", telemetry)
+                self._count(kind, "hit")
                 return payload
         built = json.loads(json.dumps(build(), sort_keys=True))
-        self._count(kind, "miss", telemetry)
+        self._count(kind, "miss")
         if self.store is not None:
             # ResultCache envelopes require a dict payload; "data" wraps
             # list-shaped artifacts (affinity vectors) uniformly.
             self.store.put(key, {"data": built})
-            self._count(kind, "store", telemetry)
+            self._count(kind, "store")
         self._remember(key, built)
         return built
 
@@ -111,26 +121,29 @@ class CompileCache:
         while len(memory) > self.memory_entries:
             memory.popitem(last=False)
 
-    def _count(self, kind: str, outcome: str, telemetry: Any = None) -> None:
+    def _count(self, kind: str, outcome: str) -> None:
         name = f"{kind}.{outcome}"
         self.counters[name] = self.counters.get(name, 0) + 1
-        if telemetry is not None:
-            telemetry.count(f"compile_cache.{name}")
 
     # -- accounting -----------------------------------------------------
     def counter_snapshot(self) -> Dict[str, int]:
         """Sorted copy of the per-kind counters (delta arithmetic)."""
         return dict(sorted(self.counters.items()))
 
+    def counters_since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """The nonzero counter deltas since ``before`` (a
+        :meth:`counter_snapshot`): the traffic of one run or cell on a
+        cache the whole process shares."""
+        after = self.counter_snapshot()
+        return {
+            name: after[name] - before.get(name, 0)
+            for name in after
+            if after[name] - before.get(name, 0)
+        }
+
     def totals(self) -> Dict[str, int]:
         """hits / misses / stores summed over artifact kinds."""
-        out = {"hits": 0, "misses": 0, "stores": 0}
-        for name, count in self.counters.items():
-            outcome = name.rpartition(".")[2]
-            total_key = _OUTCOME_TOTALS.get(outcome)
-            if total_key is not None:
-                out[total_key] += count
-        return out
+        return traffic_totals(self.counters.items())
 
     @property
     def hit_rate(self) -> float:

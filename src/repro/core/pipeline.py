@@ -257,7 +257,6 @@ class LocationAwareCompiler:
                     faults=faults,
                 )
             ),
-            telemetry=self.telemetry,
         )
         return decode_tables(payload)
 
@@ -436,7 +435,6 @@ class LocationAwareCompiler:
                     lambda: encode_estimates(
                         self.estimator.estimate_nest(instance, nest_index, sets)
                     ),
-                    telemetry=self.telemetry,
                 )
                 shared["estimates"] = decode_estimates(payload)
             return shared["estimates"]
@@ -450,7 +448,6 @@ class LocationAwareCompiler:
                 lambda: encode_affinities(
                     self._affinities_from(sets, estimates(), view)
                 ),
-                telemetry=self.telemetry,
             )
             return decode_affinities(payload)
 

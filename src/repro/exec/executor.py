@@ -74,14 +74,6 @@ def _cell_compile_cache(cell: SweepCell):
     return get_compile_cache()
 
 
-def _counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    return {
-        name: after[name] - before.get(name, 0)
-        for name in after
-        if after[name] - before.get(name, 0)
-    }
-
-
 def execute_cell(
     cell: SweepCell, telemetry: Optional[Telemetry] = None
 ) -> Dict[str, Any]:
@@ -196,7 +188,7 @@ def execute_cell_enveloped(cell: SweepCell) -> Dict[str, Any]:
     envelope = {
         "payload": payload,
         "pid": os.getpid(),
-        "compile_cache": _counter_delta(before, cache.counter_snapshot()),
+        "compile_cache": cache.counters_since(before),
     }
     if tracer.enabled:
         envelope["spans"] = tracer.to_dicts()
@@ -267,17 +259,13 @@ class SweepResult:
 
     def compile_cache_totals(self) -> Dict[str, Any]:
         """Compile-cache traffic summed across unique cell executions."""
-        totals = {"hits": 0, "misses": 0, "stores": 0}
-        outcome_keys = {"hit": "hits", "miss": "misses", "store": "stores"}
-        seen = set()
-        for result in self.results:
-            if result.key in seen:
-                continue  # duplicate cells share one execution
-            seen.add(result.key)
-            for name, count in result.compile_cache.items():
-                key = outcome_keys.get(name.rpartition(".")[2])
-                if key is not None:
-                    totals[key] += count
+        from repro.compile.cache import traffic_totals
+
+        # Duplicate cells share one execution: count each key once.
+        unique = {r.key: r.compile_cache for r in self.results}
+        totals = traffic_totals(
+            item for counts in unique.values() for item in counts.items()
+        )
         attempts = totals["hits"] + totals["misses"]
         return {
             **totals,

@@ -451,23 +451,14 @@ def _compile_cache_section(cache, before) -> dict:
     """
     if cache is None:
         return {"enabled": False}
-    after = cache.counter_snapshot()
-    delta = {
-        name: after[name] - before.get(name, 0)
-        for name in after
-        if after[name] - before.get(name, 0)
-    }
-    totals = {"hits": 0, "misses": 0, "stores": 0}
-    for name, count in delta.items():
-        outcome = name.rpartition(".")[2]
-        key = {"hit": "hits", "miss": "misses", "store": "stores"}.get(outcome)
-        if key is not None:
-            totals[key] += count
+    from repro.compile.cache import traffic_totals
+
+    delta = cache.counters_since(before)
     return {
         "enabled": True,
         "store": str(cache.store.root) if cache.store is not None else None,
         "counters": delta,
-        **totals,
+        **traffic_totals(delta.items()),
     }
 
 

@@ -105,6 +105,16 @@ class RouterFault:
         return f"router:{self.node[0]},{self.node[1]}:hotspot=+{self.extra_cycles}cyc"
 
 
+SPEC_GRAMMAR = """\
+  link:X1,Y1->X2,Y2:down        directed link dead
+  link:X1,Y1->X2,Y2:throttle=F  link at fraction F (0 < F < 1)
+  mc:I:offline                  MC I offline (pages re-interleave)
+  mc:I:throttle=F               MC I at fraction F speed
+  bank:B:offline                LLC bank B offline (sets re-hash)
+  router:X,Y:hotspot=+Ncyc      router adds N cycles/hop"""
+"""One line per fault spec form :meth:`FaultPlan.parse` accepts
+(``repro faults list`` prints it)."""
+
 _COORD = r"(\d+),(\d+)"
 _LINK_RE = re.compile(rf"^link:{_COORD}->{_COORD}:(down|throttle=([0-9.eE+-]+))$")
 _MC_RE = re.compile(r"^mc:(\d+):(offline|throttle=([0-9.eE+-]+))$")
@@ -151,10 +161,9 @@ def _parse_one(spec: str):
         if extra < 1:
             raise FaultPlanError(f"hotspot delta must be >= 1 cycle: {spec!r}")
         return RouterFault(node=(int(m.group(1)), int(m.group(2))), extra_cycles=extra)
+    forms = " | ".join(line.split()[0] for line in SPEC_GRAMMAR.splitlines())
     raise FaultPlanError(
-        f"unrecognized fault spec {spec!r}; expected one of "
-        "link:X,Y->X,Y:down | link:X,Y->X,Y:throttle=F | mc:I:offline | "
-        "mc:I:throttle=F | bank:B:offline | router:X,Y:hotspot=+Ncyc"
+        f"unrecognized fault spec {spec!r}; expected one of {forms}"
     )
 
 

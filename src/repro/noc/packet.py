@@ -11,8 +11,7 @@ link occupancy -- the effect the paper's mapping is designed to localize.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FLIT_BYTES = 16
 """Bytes carried per flit (typical 128-bit links)."""
@@ -27,10 +26,6 @@ class MessageKind(enum.Enum):
     REQUEST = "request"          # L1 miss -> LLC bank, or LLC miss -> MC
     DATA_RESPONSE = "data"       # cache line coming back
     CONTROL = "control"          # coherence control (acks, invalidations)
-    WRITEBACK = "writeback"      # dirty line eviction
-
-
-_packet_ids = itertools.count()
 
 
 def flits_for_payload(payload_bytes: int) -> int:
@@ -55,7 +50,6 @@ class Packet:
     kind: MessageKind
     num_flits: int
     inject_time: int
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.num_flits < 1:
@@ -71,10 +65,4 @@ class Packet:
     ) -> "Packet":
         return cls(
             src, dst, MessageKind.DATA_RESPONSE, flits_for_payload(line_bytes), time
-        )
-
-    @classmethod
-    def writeback(cls, src: int, dst: int, time: int, line_bytes: int) -> "Packet":
-        return cls(
-            src, dst, MessageKind.WRITEBACK, flits_for_payload(line_bytes), time
         )

@@ -2,7 +2,7 @@
 
 Zero-dependency telemetry for the simulator and the mapping pipeline:
 
-* :class:`Telemetry` -- counters, exact-value histograms, nested phases
+* :class:`Telemetry` -- exact-value histograms, nested phases
   (``with tele.phase(...)``), each recorded once as a span and folded
   into tables by :func:`phase_table`.
 * :class:`SpatialAccumulators` -- per-tile / per-LLC-bank / per-MC /

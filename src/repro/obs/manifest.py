@@ -113,3 +113,17 @@ def build_manifest(
     if extra:
         manifest.update(extra)
     return manifest
+
+
+def manifest_counters(manifest: Optional[Dict[str, Any]]) -> Dict[str, int]:
+    """A run's counters, named ``compile_cache.<kind>.<outcome>``.
+
+    The manifest's ``compile_cache`` section is the one record of the
+    run's compile-cache traffic; ``repro profile`` and ``repro metrics``
+    render their counters from it.
+    """
+    section = (manifest or {}).get("compile_cache") or {}
+    return {
+        f"compile_cache.{name}": count
+        for name, count in sorted((section.get("counters") or {}).items())
+    }

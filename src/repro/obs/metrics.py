@@ -1,8 +1,9 @@
 """Prometheus-style text exposition of a Telemetry hub.
 
 ``repro metrics`` renders one run's counters, histograms and phases in
-the Prometheus text format (v0.0.4): counters become
-``repro_<name>_total``, exact-value histograms become summaries with
+the Prometheus text format (v0.0.4): counters (the manifest's
+compile-cache traffic, :func:`repro.obs.manifest.manifest_counters`)
+become ``repro_<name>_total``, exact-value histograms become summaries with
 p50/p90/p99 quantile samples, and the phase table (a fold over the
 run's phase spans) becomes labelled gauges.
 The output is deterministic (sorted names, fixed quantile set), so it
@@ -17,6 +18,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional
 
+from .manifest import manifest_counters
 from .telemetry import Telemetry
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
@@ -64,11 +66,11 @@ def prometheus_text(
 
     lines: List[str] = []
 
-    for name in sorted(telemetry.counters):
+    for name, count in manifest_counters(telemetry.manifest).items():
         metric = metric_name(name, prefix) + "_total"
         lines.append(f"# HELP {metric} repro counter {name}")
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}{fmt_labels()} {telemetry.counters[name]}")
+        lines.append(f"{metric}{fmt_labels()} {count}")
 
     for name in sorted(telemetry.histograms):
         hist = telemetry.histograms[name]

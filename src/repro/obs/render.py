@@ -9,13 +9,12 @@ the R1..R9 structure of Figure 6 is recognizable at a glance.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.experiments.report import format_table
 from repro.noc.topology import Mesh2D
-from repro.noc.visualize import render_link_utilization, render_node_values
 
 from .spatial import SpatialAccumulators
 from .telemetry import Telemetry
@@ -30,6 +29,43 @@ HEATMAP_METRICS = (
     "mcqueue",   # per-MC cumulative queueing cycles
     "link",      # per-link flits, folded to flits leaving each node
 )
+
+
+def render_node_values(
+    mesh: Mesh2D,
+    values: Mapping[int, float],
+    cell_width: int = 5,
+    fmt: str = "{:4.0f}",
+    region_w: int = 0,
+    region_h: int = 0,
+) -> str:
+    """Grid of per-node values; region boundaries drawn if sizes given."""
+    lines = []
+    for y in range(mesh.height):
+        if region_h and y % region_h == 0 and y > 0:
+            lines.append("-" * ((cell_width + 1) * mesh.width))
+        row = []
+        for x in range(mesh.width):
+            sep = "|" if (region_w and x % region_w == 0 and x > 0) else " "
+            value = values.get(mesh.node_id((x, y)), 0.0)
+            row.append(sep + fmt.format(value).rjust(cell_width - 1))
+        lines.append("".join(row))
+    return "\n".join(lines)
+
+
+def render_link_utilization(
+    mesh: Mesh2D,
+    link_flits: Mapping[Tuple[int, int], int],
+    top: int = 10,
+) -> str:
+    """The ``top`` busiest directed links, one per line."""
+    ranked = sorted(link_flits.items(), key=lambda kv: -kv[1])[:top]
+    lines = ["busiest links (flits carried):"]
+    for (u, v), flits in ranked:
+        lines.append(
+            f"  {mesh.coord(u)} -> {mesh.coord(v)}: {flits}"
+        )
+    return "\n".join(lines)
 
 
 def _node_values(

@@ -1,4 +1,4 @@
-"""The telemetry hub: counters, histograms, and nested phase spans.
+"""The telemetry hub: histograms, nested phase spans and the manifest.
 
 One :class:`Telemetry` instance accompanies one run (or one experiment).
 It is deliberately *pull*-based and zero-dependency: instrumentation sites
@@ -178,7 +178,6 @@ class Telemetry:
         self.events = events if events is not None else EventStream(
             level="decisions" if enabled else "off"
         )
-        self.counters: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.spatial: Optional[SpatialAccumulators] = None
         self.manifest: Optional[dict] = None
@@ -199,12 +198,6 @@ class Telemetry:
     @classmethod
     def disabled(cls) -> "Telemetry":
         return cls(enabled=False)
-
-    # -- counters --------------------------------------------------------
-    def count(self, name: str, n: int = 1) -> None:
-        if not self.enabled:
-            return
-        self.counters[name] = self.counters.get(name, 0) + n
 
     # -- histograms ------------------------------------------------------
     def histogram(self, name: str) -> Histogram:
@@ -277,7 +270,6 @@ class Telemetry:
     def snapshot(self) -> dict:
         """Everything the hub holds, as JSON-ready plain data."""
         return {
-            "counters": dict(sorted(self.counters.items())),
             "histograms": {
                 name: hist.as_dict()
                 for name, hist in sorted(self.histograms.items())

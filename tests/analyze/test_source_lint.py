@@ -283,6 +283,16 @@ class TestCli:
         payload = json.loads(report_json.read_text())
         assert payload["lint"]["summary"]["ok"] is True
 
+    def test_lint_verdict_names_a_bad_artifact(self, tmp_path):
+        from repro.analyze.source.report import load_lint_verdict
+
+        other = tmp_path / "diagnostics.json"
+        other.write_text('{"schema": "repro.analyze/1"}')
+        with pytest.raises(ValueError, match="not a repro.lint/1 artifact"):
+            load_lint_verdict(other)
+        with pytest.raises(ValueError, match="lint report not found"):
+            load_lint_verdict(tmp_path / "missing.json")
+
     def test_bench_check_without_artifact_stays_silent(
         self, tmp_path, capsys, monkeypatch
     ):

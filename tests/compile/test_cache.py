@@ -19,7 +19,6 @@ from repro.compile import (
     get_compile_cache,
     reset_compile_cache,
 )
-from repro.obs import Telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -130,21 +129,15 @@ def test_clear_memory_keeps_disk(tmp_path):
 
 def test_counters_split_per_kind_and_feed_telemetry():
     cache = CompileCache()
-    telemetry = Telemetry()
-    cache.get_or_build("tables", {"x": 1}, lambda: {"v": 1}, telemetry=telemetry)
-    cache.get_or_build("tables", {"x": 1}, lambda: {"v": 1}, telemetry=telemetry)
-    cache.get_or_build("affinity", {"x": 1}, lambda: [], telemetry=telemetry)
+    cache.get_or_build("tables", {"x": 1}, lambda: {"v": 1})
+    cache.get_or_build("tables", {"x": 1}, lambda: {"v": 1})
+    cache.get_or_build("affinity", {"x": 1}, lambda: [])
     assert cache.counter_snapshot() == {
         "affinity.miss": 1,
         "tables.hit": 1,
         "tables.miss": 1,
     }
     assert cache.hit_rate == pytest.approx(1 / 3)
-    assert telemetry.counters == {
-        "compile_cache.affinity.miss": 1,
-        "compile_cache.tables.hit": 1,
-        "compile_cache.tables.miss": 1,
-    }
 
 
 def test_stats_shape(tmp_path):

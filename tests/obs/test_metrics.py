@@ -10,8 +10,7 @@ from repro.obs.metrics import metric_name, prometheus_text
 
 def populated_hub() -> Telemetry:
     telemetry = Telemetry(events=EventStream(level="off"))
-    telemetry.count("cache.hits", 3)
-    telemetry.count("cache.hits", 2)
+    telemetry.manifest = {"compile_cache": {"counters": {"tables.hit": 5}}}
     hist = telemetry.histogram("noc.packet_hops")
     hist.record_many(np.array([1, 1, 2, 3, 3, 3, 9]))
     with telemetry.phase("sim"):
@@ -34,8 +33,8 @@ class TestMetricName:
 class TestExposition:
     def test_counter_lines(self):
         text = prometheus_text(populated_hub())
-        assert "# TYPE repro_cache_hits_total counter" in text
-        assert "repro_cache_hits_total 5" in text
+        assert "# TYPE repro_compile_cache_tables_hit_total counter" in text
+        assert "repro_compile_cache_tables_hit_total 5" in text
 
     def test_histogram_summary_lines(self):
         text = prometheus_text(populated_hub())
@@ -54,19 +53,22 @@ class TestExposition:
         text = prometheus_text(
             populated_hub(), labels={"app": "mxm", "mapping": "la"}
         )
-        assert 'repro_cache_hits_total{app="mxm",mapping="la"} 5' in text
+        assert ('repro_compile_cache_tables_hit_total'
+                '{app="mxm",mapping="la"} 5') in text
         # extra labels merge after the base ones
         assert ('repro_noc_packet_hops{app="mxm",mapping="la",'
                 'quantile="0.9"}') in text
 
     def test_label_values_are_escaped(self):
         telemetry = Telemetry(events=EventStream(level="off"))
-        telemetry.count("hits", 1)
+        telemetry.manifest = {"compile_cache": {"counters": {"tables.hit": 1}}}
         text = prometheus_text(telemetry, labels={"app": 'm"x\\m'})
         assert 'app="m\\"x\\\\m"' in text
 
     def test_empty_hub_renders_empty(self):
         telemetry = Telemetry(events=EventStream(level="off"))
+        assert prometheus_text(telemetry) == ""
+        telemetry.manifest = {"compile_cache": {"enabled": False}}
         assert prometheus_text(telemetry) == ""
 
     def test_output_is_deterministic(self):

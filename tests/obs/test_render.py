@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.noc.topology import Mesh2D
 from repro.obs import SpatialAccumulators, Telemetry, build_manifest
 from repro.obs.render import (
     HEATMAP_METRICS,
     heatmap_csv,
     render_heatmap,
     render_histograms,
+    render_link_utilization,
     render_manifest,
+    render_node_values,
     render_phase_table,
 )
 from repro.sim.config import DEFAULT_CONFIG
+
+MESH = Mesh2D(6, 6)
 
 
 @pytest.fixture
@@ -100,3 +105,28 @@ class TestTables:
         assert "config_hash" in out
         assert "phase sim" in out
         assert "no manifest" in render_manifest(None)
+
+
+class TestNodeGrid:
+    def test_grid_dimensions(self):
+        out = render_node_values(MESH, {0: 1.0})
+        assert len(out.splitlines()) == 6
+
+    def test_region_separators(self):
+        out = render_node_values(
+            MESH, {}, region_w=2, region_h=2
+        )
+        lines = out.splitlines()
+        assert len(lines) == 6 + 2  # two horizontal rules
+        assert any(set(line) == {"-"} for line in lines)
+        assert "|" in lines[0]
+
+    def test_values_appear(self):
+        out = render_node_values(MESH, {0: 42.0}, fmt="{:4.0f}")
+        assert "42" in out
+
+
+def test_link_utilization_ranking():
+    flits = {(0, 1): 100, (1, 2): 5}
+    out = render_link_utilization(MESH, flits, top=1)
+    assert "100" in out and "5" not in out.split("\n", 1)[1]

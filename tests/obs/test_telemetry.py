@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry hub: counters, histograms, phase timers."""
+"""Unit tests for the telemetry hub: histograms, phase timers."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,8 @@ from repro.obs import Histogram, Telemetry
 
 
 class TestCounters:
-    def test_count_accumulates(self):
-        tele = Telemetry()
-        tele.count("a")
-        tele.count("a", 4)
-        tele.count("b", 2)
-        assert tele.counters == {"a": 5, "b": 2}
-
     def test_disabled_hub_ignores_counts(self):
         tele = Telemetry.disabled()
-        tele.count("a", 10)
-        assert tele.counters == {}
         assert not tele.enabled
         assert not tele.events.enabled
 
@@ -123,14 +114,12 @@ class TestSnapshot:
         import json
 
         tele = Telemetry()
-        tele.count("c", 2)
         tele.histogram("h").record(5)
         with tele.phase("p"):
             pass
         tele.ensure_spatial(4, 2)
         snap = tele.snapshot()
         json.dumps(snap)  # must not raise
-        assert snap["counters"] == {"c": 2}
         assert snap["histograms"]["h"]["total"] == 1
         assert "p" in snap["phases"]
         assert snap["spatial"]["tile_accesses"] == [0, 0, 0, 0]

@@ -1,8 +1,14 @@
 """Command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -64,7 +70,7 @@ class TestCommands:
         assert "mxm" in out and "barnes" in out
 
     def test_properties(self, capsys):
-        assert main(["properties"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "iteration sets" in out
 
@@ -186,9 +192,7 @@ class TestFaultsCommand:
         assert args.action == "list"
         assert args.apps == []
         assert args.fault == []
-        assert args.mapping == "la"
         assert args.scale == 0.2
-        assert not args.no_fault_aware
 
     def test_run_accepts_fault_flags(self):
         args = build_parser().parse_args([
@@ -225,18 +229,42 @@ class TestFaultsCommand:
 
     def test_inject_runs_and_reports(self, capsys):
         assert main([
-            "faults", "inject", "mxm", "--scale", "0.2",
+            "run", "mxm", "nbf", "--mapping", "la", "--scale", "0.2",
             "--fault", "mc:1:throttle=0.5",
         ]) == 0
         out = capsys.readouterr().out
-        assert "fault injection" in out
-        assert "net latency" in out
+        assert "cycles" in out
+        assert "net_latency" in out
 
-    def test_inject_illegal_plan_rejected_by_gate(self, capsys):
+    @pytest.fixture
+    def no_machine(self, monkeypatch):
+        """Fail the test if any cell runs or any machine is built."""
+        from repro.exec import executor
+        from repro.sim.machine import Manycore
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a machine was built for a plan the gate rejects")
+
+        monkeypatch.setattr(executor, "execute_cell", refuse)
+        monkeypatch.setattr(Manycore, "__init__", refuse)
+
+    def test_inject_illegal_plan_rejected_by_gate(self, capsys, no_machine):
         code = main([
-            "faults", "inject", "mxm", "--fault", "bank:99:offline",
+            "run", "mxm", "--fault", "bank:99:offline", "--scale", "0.2",
         ])
-        assert code != 0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FLT001" in captured.out
+        assert "rejected" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "mxm", "nbf"],
+        ["heatmap", "mxm"],
+    ], ids=["run-sweep", "heatmap"])
+    def test_illegal_plan_refused_before_any_machine(
+        self, capsys, no_machine, argv
+    ):
+        assert main(argv + ["--fault", "bank:99:offline"]) == 1
         captured = capsys.readouterr()
         assert "FLT001" in captured.out
         assert "rejected" in captured.err
@@ -263,8 +291,8 @@ class TestObservabilityParser:
         assert args.trace == "x.json"
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace", "mxm"])
-        assert args.out == "run.trace.json"
+        args = build_parser().parse_args(["run", "mxm", "--trace"])
+        assert args.trace == "run.trace.json"
         assert args.workers == 1
         assert args.mapping == "default"
         assert not args.suite
@@ -311,15 +339,29 @@ class TestTraceCommand:
     def test_trace_command_reports_and_validates(self, capsys, tmp_path):
         out = tmp_path / "sweep.trace.json"
         assert main(
-            ["trace", "mxm", "--scale", "0.25", "--out", str(out)]
+            ["run", "mxm", "--scale", "0.25", "--trace", str(out)]
         ) == 0
         text = capsys.readouterr().out
         assert "trace id:" in text
-        assert "schema:      OK" in text
+        assert "schema: OK" in text
         assert out.exists()
 
+    def test_trace_schema_violation_exits_1(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.obs import tracing
+
+        monkeypatch.setattr(
+            tracing, "validate_trace_events", lambda document: ["bad span"]
+        )
+        out = tmp_path / "bad.trace.json"
+        assert main(
+            ["run", "mxm", "--scale", "0.25", "--trace", str(out)]
+        ) == 1
+        assert "schema: bad span" in capsys.readouterr().out
+
     def test_trace_command_requires_apps(self, capsys):
-        assert main(["trace"]) == 2
+        assert main(["run", "--trace"]) == 2
         assert "no applications" in capsys.readouterr().err
 
     def test_trace_reruns_share_span_ids(self, tmp_path):
@@ -334,10 +376,10 @@ class TestTraceCommand:
             )
 
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["trace", "mxm", "--scale", "0.25",
-                     "--out", str(a)]) == 0
-        assert main(["trace", "mxm", "--scale", "0.25",
-                     "--out", str(b)]) == 0
+        assert main(["run", "mxm", "--scale", "0.25",
+                     "--trace", str(a)]) == 0
+        assert main(["run", "mxm", "--scale", "0.25",
+                     "--trace", str(b)]) == 0
         assert span_ids(a) == span_ids(b)
 
 
@@ -442,3 +484,52 @@ class TestProfileJson:
         assert payload["schema"] == "repro.profile/1"
         assert payload["workers"] == 2
         assert payload["phases"]
+
+
+def documented_command_lines():
+    """Every ``repro`` command line in CI, the README and docs/*.md,
+    continuations joined and shell redirections, pipes and comments cut,
+    as ``(where, argv)`` pairs."""
+    sources = [
+        REPO_ROOT / ".github" / "workflows" / "ci.yml",
+        REPO_ROOT / "README.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+    ]
+    found = []
+    for path in sources:
+        lines = path.read_text().splitlines()
+        for number, line in enumerate(lines):
+            match = re.search(r"python3? -m repro (.*)", line) or re.match(
+                r"\s*(?:\$ )?repro (.*)", line
+            )
+            if match is None:
+                continue
+            command = match.group(1).split("`")[0].rstrip()
+            # A command continues after a trailing backslash, and in a
+            # YAML folded block on the "--option" lines that follow it.
+            for follow in lines[number + 1:]:
+                if not (command.endswith("\\")
+                        or follow.strip().startswith("--")):
+                    break
+                command = command.rstrip("\\") + " " + follow.strip()
+            lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            argv = []
+            for token in lexer:
+                if token[0] in "|<>;&":
+                    break
+                argv.append(token)
+            found.append((f"{path.name}:{number + 1}", argv))
+    return found
+
+
+def test_documented_command_lines_parse(capsys):
+    commands = documented_command_lines()
+    assert len(commands) >= 60
+    rejected = []
+    for where, argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append(f"{where}: repro {' '.join(argv)}")
+    assert not rejected, "\n".join(rejected)
