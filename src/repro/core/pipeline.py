@@ -45,7 +45,7 @@ from .mapping import (
 from .proximity import MacMode
 from .regions import RegionPartition
 
-PIPELINE_VERSION = 2
+PIPELINE_VERSION = 3
 """Semantic version of the mapping/simulation pipeline.
 
 Bump this whenever a change alters what any (workload, config, mapping,
