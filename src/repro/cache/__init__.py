@@ -1,32 +1,20 @@
 """Cache hierarchy: set-assoc caches, S-NUCA homing, MOESI-lite directory."""
 
-from .cache import AccessResult, Cache, CacheStats
-from .coherence import (
-    CoherenceActions,
-    CoherenceStats,
-    Directory,
-    DirState,
-)
-from .hierarchy import (
-    DEFAULT_L1,
-    DEFAULT_L2,
-    AccessOutcome,
-    CacheConfig,
-    CacheHierarchy,
-)
+from .cache import HIT, MISS, Cache, CacheStats
+from .coherence import CoherenceStats, Directory, DirState
+from .hierarchy import DEFAULT_L1, DEFAULT_L2, CacheConfig, CacheHierarchy
 from .snuca import LLCOrganization, SnucaMapper
 
 __all__ = [
-    "AccessResult",
+    "HIT",
+    "MISS",
     "Cache",
     "CacheStats",
-    "CoherenceActions",
     "CoherenceStats",
     "Directory",
     "DirState",
     "DEFAULT_L1",
     "DEFAULT_L2",
-    "AccessOutcome",
     "CacheConfig",
     "CacheHierarchy",
     "LLCOrganization",

@@ -21,21 +21,14 @@ States are tracked per line from the directory's point of view:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 
 class DirState(enum.Enum):
     INVALID = "I"
     SHARED = "S"
     OWNED = "O"
-
-
-@dataclass
-class DirectoryEntry:
-    state: DirState = DirState.INVALID
-    owner: Optional[int] = None
-    sharers: Set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -47,88 +40,92 @@ class CoherenceStats:
     downgrade_writebacks: int = 0
 
 
-@dataclass
-class CoherenceActions:
-    """What the machine must do on the network for one request.
+class Directory:
+    """Home-bank directory over line addresses.
 
-    ``invalidate_nodes``   -- send control packets to these L1s (write).
-    ``forward_from_owner`` -- data comes from this node's L1 instead of the
-                              home bank / memory (dirty remote copy).
+    Each known line keeps ``[owner, sharers]``: the node holding the dirty
+    copy (-1 for none) and a bitmask of nodes with a copy.  The owner is
+    always among the sharers, and the state follows from the pair: OWNED
+    with an owner, else SHARED with any sharer, else INVALID.  Node 0 is a
+    real node, so "no owner" is tested with ``>= 0``, never truthiness.
     """
 
-    invalidate_nodes: Tuple[int, ...] = ()
-    forward_from_owner: Optional[int] = None
-
-
-class Directory:
-    """Home-bank directory over line addresses."""
-
     def __init__(self) -> None:
-        self._entries: Dict[int, DirectoryEntry] = {}
+        self._entries: Dict[int, List[int]] = {}
         self.stats = CoherenceStats()
 
-    def _entry(self, line_addr: int) -> DirectoryEntry:
-        return self._entries.setdefault(line_addr, DirectoryEntry())
-
     # ------------------------------------------------------------------
-    def read(self, line_addr: int, requester: int) -> CoherenceActions:
-        """A core issues a read that reached the home bank."""
-        self.stats.read_requests += 1
-        entry = self._entry(line_addr)
-        actions = CoherenceActions()
-        if entry.state is DirState.OWNED and entry.owner != requester:
-            # Dirty copy elsewhere: forward from owner, owner keeps a
-            # now-shared copy (O -> O with extra sharer; data to requester).
-            actions = CoherenceActions(forward_from_owner=entry.owner)
-            self.stats.owner_forwards += 1
-            entry.sharers.add(requester)
-        else:
-            if entry.state is DirState.INVALID:
-                entry.state = DirState.SHARED
-            entry.sharers.add(requester)
-        return actions
+    def read(self, line_addr: int, requester: int) -> int:
+        """A core issues a read that reached the home bank.
 
-    def write(self, line_addr: int, requester: int) -> CoherenceActions:
-        """A core issues a write (or upgrade) that reached the home bank."""
-        self.stats.write_requests += 1
-        entry = self._entry(line_addr)
-        others = {n for n in entry.sharers if n != requester}
-        if entry.owner is not None and entry.owner != requester:
-            others.add(entry.owner)
-        forward = None
-        if entry.state is DirState.OWNED and entry.owner != requester:
-            forward = entry.owner
+        Returns the node whose dirty copy must forward the data, or -1.
+        """
+        self.stats.read_requests += 1
+        entry = self._entries.get(line_addr)
+        if entry is None:
+            self._entries[line_addr] = [-1, 1 << requester]
+            return -1
+        entry[1] |= 1 << requester
+        owner = entry[0]
+        if owner >= 0 and owner != requester:
+            # Dirty copy elsewhere: the owner forwards and keeps a now-
+            # shared copy (O -> O with an extra sharer).
             self.stats.owner_forwards += 1
-        if others:
-            self.stats.invalidations_sent += len(others)
-        entry.state = DirState.OWNED
-        entry.owner = requester
-        entry.sharers = {requester}
-        return CoherenceActions(
-            invalidate_nodes=tuple(sorted(others)), forward_from_owner=forward
-        )
+            return owner
+        return -1
+
+    def write(self, line_addr: int, requester: int) -> Tuple[int, Tuple[int, ...]]:
+        """A core issues a write (or upgrade) that reached the home bank.
+
+        Returns ``(forward, invalidate)``: the previous owner that forwards
+        the data (or -1) and the sorted other nodes whose copies must be
+        invalidated.  The requester becomes the sole owner.
+        """
+        stats = self.stats
+        stats.write_requests += 1
+        bit = 1 << requester
+        entry = self._entries.get(line_addr)
+        if entry is None:
+            self._entries[line_addr] = [requester, bit]
+            return -1, ()
+        owner, others = entry
+        entry[0] = requester
+        entry[1] = bit
+        forward = -1
+        if owner >= 0 and owner != requester:
+            forward = owner
+            stats.owner_forwards += 1
+        others &= ~bit
+        if not others:
+            return forward, ()
+        invalidate = []
+        while others:
+            low = others & -others
+            invalidate.append(low.bit_length() - 1)
+            others ^= low
+        stats.invalidations_sent += len(invalidate)
+        return forward, tuple(invalidate)
 
     def evict(self, line_addr: int, node: int) -> None:
         """An L1 silently drops (clean) or writes back (dirty) a line."""
         entry = self._entries.get(line_addr)
         if entry is None:
             return
-        entry.sharers.discard(node)
-        if entry.owner == node:
-            entry.owner = None
+        entry[1] &= ~(1 << node)
+        if entry[0] == node:
+            entry[0] = -1
             self.stats.downgrade_writebacks += 1
-            entry.state = DirState.SHARED if entry.sharers else DirState.INVALID
-        elif not entry.sharers and entry.owner is None:
-            entry.state = DirState.INVALID
 
     # ------------------------------------------------------------------
     def state_of(self, line_addr: int) -> DirState:
-        entry = self._entries.get(line_addr)
-        return entry.state if entry else DirState.INVALID
+        owner, sharers = self._entries.get(line_addr, (-1, 0))
+        if owner >= 0:
+            return DirState.OWNED
+        return DirState.SHARED if sharers else DirState.INVALID
 
     def sharers_of(self, line_addr: int) -> Set[int]:
-        entry = self._entries.get(line_addr)
-        return set(entry.sharers) if entry else set()
+        sharers = self._entries.get(line_addr, (-1, 0))[1]
+        return {node for node in range(sharers.bit_length()) if sharers >> node & 1}
 
     def reset(self) -> None:
         self._entries.clear()

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.ir.iterspace import IterationSet
 from repro.ir.loops import ProgramInstance
-from repro.memory.address import AddressLayout
 
-from .sampling import SampledAccess, sampled_access_stream
+from .sampling import sampled_access_stream
 from .stack import SetAssociativeModel
 
 

@@ -10,9 +10,9 @@ rather than all of them; the sample rate is the speed/accuracy knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
-from repro.ir.iterspace import ConcreteDomain, IterationSet
+from repro.ir.iterspace import IterationSet
 from repro.ir.loops import ProgramInstance
 
 

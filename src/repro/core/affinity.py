@@ -13,7 +13,7 @@ to an iteration set's MAI/CAI under this measure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 

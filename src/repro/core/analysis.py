@@ -16,7 +16,7 @@ inspector's observations for irregular ones), produce the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from repro.cache.snuca import LLCOrganization
 
 from .affinity import AffinityVector, combined_eta, eta
-from .balance import BalanceResult, balance_regions
+from .balance import balance_regions
 from .proximity import (
     MacMode,
     cac_table,

@@ -13,11 +13,11 @@ meaningful for smoke tests).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.regions import RegionPartition
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig, sensitivity_variants
-from repro.sim.stats import Comparison, geomean, mean, percent_reduction
+from repro.sim.stats import geomean, mean, percent_reduction
 from repro.workloads.suite import (
     KNL_SCALING_APPS,
     LAYOUT_COMPARISON_APPS,

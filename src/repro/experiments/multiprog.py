@@ -16,9 +16,8 @@ on the same cores (the paper's setup runs them concurrently under the OS).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.baselines.default import default_schedules, partition_all_nests
 from repro.core.inspector import InspectorExecutor, InspectorReport

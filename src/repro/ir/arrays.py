@@ -12,8 +12,8 @@ Calling an :class:`ArrayDecl` with index expressions builds an access --
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from .symbolic import AffineExpr, Bindings, ExprLike, as_expr
 

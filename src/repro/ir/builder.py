@@ -17,13 +17,13 @@ Workloads read like the code they model::
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .arrays import AffineIndex
-from .iterspace import IterationDomain, domain
+from .iterspace import domain
 from .loops import LoopNest
-from .refs import AffineAccess, IndirectAccess
-from .symbolic import ExprLike, as_expr
+from .refs import AffineAccess
+from .symbolic import ExprLike
 
 
 class NestBuilder:

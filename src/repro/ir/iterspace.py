@@ -14,7 +14,7 @@ linearized row-major (last index fastest), matching C loop order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .symbolic import AffineExpr, Bindings, ExprLike, as_expr
 

@@ -15,13 +15,13 @@ accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .arrays import ArrayDecl, ArraySpace
 from .iterspace import ConcreteDomain, IterationDomain, IterationSet
-from .refs import AffineAccess, IndirectAccess, RuntimeData
+from .refs import IndirectAccess, RuntimeData
 
 Reference = object  # AffineAccess | IndirectAccess
 IndexArrayBuilder = Callable[[Mapping[str, int], np.random.Generator], np.ndarray]

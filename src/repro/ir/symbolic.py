@@ -15,7 +15,7 @@ imposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple, Union
 
 Number = int

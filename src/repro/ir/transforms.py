@@ -21,7 +21,7 @@ originals are untouched.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .dependence import analyze_nest
 from .iterspace import IterationDomain, domain

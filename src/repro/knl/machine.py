@@ -9,7 +9,7 @@ faster DDR4 preset (a stand-in for MCDRAM/DDR bandwidth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache.snuca import LLCOrganization

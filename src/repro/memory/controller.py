@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import List
 
 from .address import AddressLayout
@@ -58,8 +59,13 @@ class MemoryController:
         # Service-rate derating injected by a fault plan (mc:I:throttle=F);
         # 1.0 is the pristine controller and changes nothing below.
         self.throttle = 1.0
-        # Completion times of requests currently occupying buffer slots.
+        # Completion times of requests currently occupying buffer slots,
+        # as a min-heap: the earliest to retire is always at [0].
         self._inflight: List[int] = []
+        self._page_bits = layout.page_offset_bits
+        self._page_mask = layout.page_bytes - 1
+        # Lower bound used only for the queue-delay statistic.
+        self._device_latency = timings.row_hit_latency
 
     def _channel_address(self, addr: int) -> int:
         """Compact the interleaved address into this channel's local space.
@@ -68,9 +74,9 @@ class MemoryController:
         and row bits must be taken *above* the channel-select bits or the
         channel would only ever exercise ``banks/num_channels`` of its banks.
         """
-        page = self.layout.page_number(addr)
-        local_page = page // self.num_channels
-        return self.layout.compose(local_page, self.layout.page_offset(addr))
+        bits = self._page_bits
+        local_page = (addr >> bits) // self.num_channels
+        return (local_page << bits) | (addr & self._page_mask)
 
     def access(self, addr: int, time: int) -> int:
         """Service a read/write for ``addr`` arriving at ``time``.
@@ -78,30 +84,29 @@ class MemoryController:
         Returns the cycle the data is ready to leave the MC.
         """
         start = time
+        stats = self.stats
         # Retire finished requests, then stall if the buffer is still full.
-        self._inflight = [t for t in self._inflight if t > start]
-        if len(self._inflight) >= self.buffer_entries:
-            earliest = min(self._inflight)
-            self.stats.buffer_stalls += 1
-            start = earliest
-            self._inflight = [t for t in self._inflight if t > start]
+        inflight = self._inflight
+        while inflight and inflight[0] <= start:
+            heappop(inflight)
+        if len(inflight) >= self.buffer_entries:
+            stats.buffer_stalls += 1
+            start = inflight[0]
+            while inflight and inflight[0] <= start:
+                heappop(inflight)
         issue = start + self.frontend_latency
         done = self.channel.access(self._channel_address(addr), issue)
         if self.throttle < 1.0:
             # A throttled MC services the same request in proportionally
             # more cycles, which also holds its buffer slot longer.
             done = issue + int(math.ceil((done - issue) / self.throttle))
-        self._inflight.append(done)
-        self.stats.requests += 1
-        self.stats.total_latency += done - time
-        self.stats.total_queue_delay += (start - time) + (
-            done - issue - self._pure_device_latency()
+        heappush(inflight, done)
+        stats.requests += 1
+        stats.total_latency += done - time
+        stats.total_queue_delay += (start - time) + (
+            done - issue - self._device_latency
         )
         return done
-
-    def _pure_device_latency(self) -> int:
-        # Lower bound used only for the queue-delay statistic.
-        return self.channel.timings.row_hit_latency
 
     def reset(self) -> None:
         self.channel.reset()

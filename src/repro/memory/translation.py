@@ -22,7 +22,7 @@ plain OS would give you, used in tests to show the compiler's prediction
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -2,13 +2,7 @@
 
 from .analytic import AnalyticNetwork
 from .network import BaseNetwork, NetworkStats, WormholeNetwork
-from .packet import (
-    CONTROL_FLITS,
-    FLIT_BYTES,
-    MessageKind,
-    Packet,
-    flits_for_payload,
-)
+from .packet import CONTROL_FLITS, FLIT_BYTES, flits_for_payload
 from .routing import hop_count, path_coords, xy_links, xy_path
 from .topology import (
     Coord,
@@ -25,8 +19,6 @@ __all__ = [
     "WormholeNetwork",
     "CONTROL_FLITS",
     "FLIT_BYTES",
-    "MessageKind",
-    "Packet",
     "flits_for_payload",
     "hop_count",
     "path_coords",

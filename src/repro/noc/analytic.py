@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .network import BaseNetwork, Path
-from .packet import Packet
 
 _MAX_RHO = 0.95
 
@@ -55,7 +54,7 @@ class AnalyticNetwork(BaseNetwork):
         self._window_flits: List[int] = [0] * num_links
         self._prev_rho: List[float] = [0.0] * num_links
 
-    def _transfer(self, packet: Packet, path: Path) -> Tuple[int, int]:
+    def _transfer(self, path: Path, inject_time: int, flits: int) -> Tuple[int, int]:
         # Each link records the packet's flits in the window of its inject
         # time and samples rho = max(previous window's utilization, the
         # current window's so far), capped at _MAX_RHO.  A finished window
@@ -63,9 +62,8 @@ class AnalyticNetwork(BaseNetwork):
         # between mean the previous utilization has decayed to zero.  (The
         # current window's share needs no cap at 1.0 of its own: anything
         # above the final cap is clamped to it either way.)
-        flits = packet.num_flits
         window = self.window
-        widx = packet.inject_time // window
+        widx = inject_time // window
         window_index = self._window_index
         window_flits = self._window_flits
         prev_rho = self._prev_rho
@@ -104,7 +102,7 @@ class AnalyticNetwork(BaseNetwork):
                 rho = _MAX_RHO
             queueing += rho * service / (2.0 * (1.0 - rho))
         wait = int(round(queueing))
-        return packet.inject_time + base + wait, wait
+        return inject_time + base + wait, wait
 
     def reset(self) -> None:
         self._clear_windows()

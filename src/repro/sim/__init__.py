@@ -2,7 +2,7 @@
 
 from .config import DEFAULT_CONFIG, NetworkModel, SystemConfig, sensitivity_variants
 from .engine import ExecutionEngine, ObservedSet, TripPlan
-from .machine import AccessTiming, Manycore
+from .machine import Manycore
 from .stats import Comparison, RunStats, geomean, mean, percent_reduction
 from .trace import ProgramTrace, SetTrace, binding_arrays, reference_addresses
 
@@ -14,7 +14,6 @@ __all__ = [
     "ExecutionEngine",
     "ObservedSet",
     "TripPlan",
-    "AccessTiming",
     "Manycore",
     "Comparison",
     "RunStats",

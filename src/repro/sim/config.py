@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.cache.hierarchy import CacheConfig
 from repro.cache.snuca import LLCOrganization

@@ -11,8 +11,8 @@ Both are percentages of the baseline run ("% Reduction" in Figures 7/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import math
 import warnings

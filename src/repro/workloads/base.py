@@ -23,7 +23,7 @@ three canonical shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 

@@ -25,7 +25,6 @@ from .base import (
     banded_columns,
     bucketed_keys,
     clustered_indices,
-    permutation_indices,
     row_pointers,
 )
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.cache.snuca import LLCOrganization
 from repro.cme.equations import ClassifiedAccess

@@ -1,7 +1,6 @@
 """Load balancing across regions."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.balance import balance_regions, is_balanced, region_loads

@@ -1,13 +1,12 @@
 """End-to-end compiler pipeline and inspector-executor."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.default import default_schedules, partition_all_nests
-from repro.core.inspector import InspectorCost, InspectorExecutor, InspectorReport
+from repro.core.inspector import InspectorCost, InspectorExecutor
 from repro.core.pipeline import LocationAwareCompiler
 from repro.sim.config import DEFAULT_CONFIG
-from repro.sim.engine import ExecutionEngine, TripPlan
+from repro.sim.engine import ExecutionEngine
 from repro.sim.machine import Manycore
 from repro.sim.trace import ProgramTrace
 from repro.workloads import build_workload

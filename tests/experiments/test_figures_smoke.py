@@ -7,7 +7,6 @@ claims; the benchmarks/ targets are the real reproductions.
 import pytest
 
 from repro.experiments import figures
-from repro.workloads import LAYOUT_COMPARISON_APPS
 
 APPS = ["mxm"]
 SCALE = 0.3

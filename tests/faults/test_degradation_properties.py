@@ -22,7 +22,7 @@ from repro.core.regions import RegionPartition
 from repro.faults import DegradedTopology, FaultPlan, FaultPlanError
 from repro.noc.analytic import AnalyticNetwork
 from repro.noc.network import WormholeNetwork
-from repro.noc.packet import Packet
+from repro.noc.packet import CONTROL_FLITS
 from repro.noc.topology import Mesh2D
 
 # Geometries small enough to explore exhaustively but wide enough to have
@@ -95,7 +95,7 @@ def test_single_faults_never_crash_and_routes_arrive(mesh_plan, data):
         net = model(mesh)
         net.apply_faults(topo)
         assert [net.links[i] for i in net.path(src, dst)] == route
-        net.transfer(Packet.request(src, dst, time=0))
+        net.transfer(src, dst, 0, CONTROL_FLITS)
         assert net.stats.total_hops == len(route)
 
 
@@ -109,10 +109,10 @@ def test_disconnecting_plan_raises_on_first_packet_not_at_attach(model):
     ])
     net = model(mesh)
     net.apply_faults(DegradedTopology(mesh, plan))  # the table fills lazily
-    assert net.transfer(Packet.request(7, 9, time=0)) > 0
+    assert net.transfer(7, 9, 0, CONTROL_FLITS) > 0
     for _ in range(2):  # a failed route is not cached
         with pytest.raises(FaultPlanError):
-            net.transfer(Packet.request(0, 3, time=0))
+            net.transfer(0, 3, 0, CONTROL_FLITS)
     assert net.stats.packets == 1
 
 

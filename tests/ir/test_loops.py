@@ -5,7 +5,7 @@ import pytest
 
 from repro.ir.arrays import declare
 from repro.ir.builder import nest_builder
-from repro.ir.loops import LoopNest, Program
+from repro.ir.loops import Program
 from repro.ir.refs import gather
 from repro.ir.symbolic import Idx, Param
 

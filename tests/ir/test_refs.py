@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ir.arrays import ArraySpace, declare
-from repro.ir.refs import (
-    AffineAccess,
-    UnresolvedIndirection,
-    gather,
-    read,
-    scatter,
-    write,
-)
+from repro.ir.refs import UnresolvedIndirection, gather, read, scatter, write
 from repro.ir.symbolic import Idx, Param
 
 I, J = Idx("i"), Idx("j")

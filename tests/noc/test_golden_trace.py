@@ -23,7 +23,6 @@ import pytest
 from repro.faults import DegradedTopology, FaultPlan
 from repro.noc.analytic import AnalyticNetwork
 from repro.noc.network import WormholeNetwork
-from repro.noc.packet import MessageKind, Packet
 from repro.noc.topology import Mesh2D
 
 MESH = Mesh2D(6, 6)
@@ -111,7 +110,7 @@ def run_digest(model: str, plan: str) -> str:
     results = []
     for src, dst, flits, t in golden_trace():
         before = net.stats.total_queueing
-        arrival = net.transfer(Packet(src, dst, MessageKind.CONTROL, flits, t))
+        arrival = net.transfer(src, dst, t, flits)
         results.append((arrival, net.stats.total_queueing - before))
     document = {"packets": results, "stats": dataclasses.asdict(net.stats)}
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))

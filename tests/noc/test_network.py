@@ -8,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.faults import DegradedTopology, FaultPlan
 from repro.noc.analytic import AnalyticNetwork
 from repro.noc.network import WormholeNetwork
-from repro.noc.packet import (
-    CONTROL_FLITS,
-    MessageKind,
-    Packet,
-    flits_for_payload,
-)
+from repro.noc.packet import CONTROL_FLITS, flits_for_payload
 from repro.noc.topology import Mesh2D
 
 MESH = Mesh2D(6, 6)
+DATA_FLITS = flits_for_payload(64)  # a 64-byte line: 5 flits
 DETOUR_PLAN = ("link:2,2->3,2:down", "router:2,2:hotspot=+8cyc")
 
 
@@ -31,33 +27,17 @@ class TestPacket:
         with pytest.raises(ValueError):
             flits_for_payload(-1)
 
-    def test_request_is_single_flit(self):
-        pkt = Packet.request(0, 5, time=10)
-        assert pkt.num_flits == CONTROL_FLITS
-        assert pkt.kind is MessageKind.REQUEST
-
-    def test_data_response_carries_line(self):
-        pkt = Packet.data_response(0, 5, time=0, line_bytes=64)
-        assert pkt.num_flits == 5
-        assert pkt.kind is MessageKind.DATA_RESPONSE
-
-    def test_zero_flit_packet_rejected(self):
-        with pytest.raises(ValueError):
-            Packet(0, 1, MessageKind.CONTROL, 0, 0)
-
 
 class TestWormholeUncontended:
     def test_single_hop_latency(self):
         net = WormholeNetwork(MESH, router_delay=3)
-        pkt = Packet.request(0, 1, time=0)
-        arrival = net.transfer(pkt)
+        arrival = net.transfer(0, 1, 0, CONTROL_FLITS)
         # 1 hop: 3 (router) + 1 (link) + 0 extra flits.
         assert arrival == 4
 
     def test_multi_flit_serialization(self):
         net = WormholeNetwork(MESH, router_delay=3)
-        pkt = Packet.data_response(0, 1, time=0, line_bytes=64)  # 5 flits
-        arrival = net.transfer(pkt)
+        arrival = net.transfer(0, 1, 0, DATA_FLITS)
         assert arrival == 4 + 4  # head at 4, tail 4 cycles later
 
     def test_matches_uncontended_formula(self):
@@ -74,37 +54,32 @@ class TestWormholeUncontended:
             net = model(MESH, router_delay=3)
             net.apply_faults(topo)
             expected = net.uncontended_latency(src, dst, flits)
-            pkt = Packet(src, dst, MessageKind.CONTROL, flits, 100)
-            assert net.transfer(pkt) - 100 == expected, (model, topo, src, dst)
+            arrival = net.transfer(src, dst, 100, flits)
+            assert arrival - 100 == expected, (model, topo, src, dst)
 
     def test_local_delivery_is_free(self):
         net = WormholeNetwork(MESH)
-        assert net.transfer(Packet.request(4, 4, time=100)) == 100
+        assert net.transfer(4, 4, 100, CONTROL_FLITS) == 100
         assert net.stats.total_latency == 0
 
 
 class TestWormholeContention:
     def test_second_packet_waits_for_link(self):
         net = WormholeNetwork(MESH, router_delay=3)
-        first = Packet.data_response(0, 1, time=0, line_bytes=64)
-        second = Packet.data_response(0, 1, time=0, line_bytes=64)
-        t1 = net.transfer(first)
-        t2 = net.transfer(second)
+        t1 = net.transfer(0, 1, 0, DATA_FLITS)
+        t2 = net.transfer(0, 1, 0, DATA_FLITS)
         assert t2 > t1  # the shared link serializes the worms
         assert net.stats.total_queueing > 0
 
     def test_disjoint_paths_do_not_interfere(self):
         net = WormholeNetwork(MESH, router_delay=3)
-        a = Packet.request(0, 1, time=0)
-        b = Packet.request(30, 31, time=0)
-        t_a = net.transfer(a)
-        t_b = net.transfer(b)
+        t_a = net.transfer(0, 1, 0, CONTROL_FLITS)
+        t_b = net.transfer(30, 31, 0, CONTROL_FLITS)
         assert t_a == t_b == 4
 
     def test_zero_latency_mode(self):
         net = WormholeNetwork(MESH, zero_latency=True)
-        pkt = Packet.data_response(0, 35, time=7, line_bytes=64)
-        assert net.transfer(pkt) == 7
+        assert net.transfer(0, 35, 7, DATA_FLITS) == 7
         assert net.stats.avg_latency == 0.0
 
 
@@ -112,17 +87,15 @@ class TestAnalytic:
     def test_uncontended_matches_wormhole(self):
         worm = WormholeNetwork(MESH, router_delay=3)
         analytic = AnalyticNetwork(MESH, router_delay=3)
-        pkt1 = Packet.request(2, 17, time=0)
-        pkt2 = Packet.request(2, 17, time=0)
-        assert analytic.transfer(pkt1) == worm.transfer(pkt2)
+        assert analytic.transfer(2, 17, 0, CONTROL_FLITS) == \
+            worm.transfer(2, 17, 0, CONTROL_FLITS)
 
     def test_contention_raises_latency(self):
         analytic = AnalyticNetwork(MESH, router_delay=3, window=64)
         base = analytic.uncontended_latency(0, 5, 5)
         last = 0
         for k in range(200):
-            pkt = Packet.data_response(0, 5, time=k, line_bytes=64)
-            last = analytic.transfer(pkt) - k
+            last = analytic.transfer(0, 5, k, DATA_FLITS) - k
         assert last > base
 
     def test_tracks_wormhole_on_random_traffic(self):
@@ -138,8 +111,8 @@ class TestAnalytic:
         worm = WormholeNetwork(MESH, router_delay=3)
         analytic = AnalyticNetwork(MESH, router_delay=3)
         for src, dst, time in traffic:
-            worm.transfer(Packet.data_response(src, dst, time, 64))
-            analytic.transfer(Packet.data_response(src, dst, time, 64))
+            worm.transfer(src, dst, time, DATA_FLITS)
+            analytic.transfer(src, dst, time, DATA_FLITS)
         w, a = worm.stats.avg_latency, analytic.stats.avg_latency
         assert a == pytest.approx(w, rel=0.35)
 
@@ -151,8 +124,8 @@ class TestAnalytic:
 class TestStats:
     def test_stats_accumulate(self):
         net = WormholeNetwork(MESH)
-        net.transfer(Packet.request(0, 5, time=0))
-        net.transfer(Packet.data_response(5, 0, time=50, line_bytes=64))
+        net.transfer(0, 5, 0, CONTROL_FLITS)
+        net.transfer(5, 0, 50, DATA_FLITS)
         s = net.stats
         assert s.packets == 2
         assert s.flits == 1 + 5
@@ -162,7 +135,7 @@ class TestStats:
 
     def test_reset_clears(self):
         net = WormholeNetwork(MESH)
-        net.transfer(Packet.request(0, 5, time=0))
+        net.transfer(0, 5, 0, CONTROL_FLITS)
         net.reset()
         assert net.stats.packets == 0
         assert net.link_busy_until((0, 1)) == 0
@@ -171,5 +144,5 @@ class TestStats:
     @settings(max_examples=30)
     def test_latency_never_negative(self, src, dst):
         net = WormholeNetwork(MESH)
-        arrival = net.transfer(Packet.request(src, dst, time=5))
+        arrival = net.transfer(src, dst, 5, CONTROL_FLITS)
         assert arrival >= 5

@@ -1,6 +1,5 @@
 """Execution engine: barriers, interleaving, observations, trips."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.default import default_schedules, partition_all_nests

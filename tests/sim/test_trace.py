@@ -1,6 +1,5 @@
 """Vectorized trace generation vs the scalar reference path."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.default import partition_all_nests

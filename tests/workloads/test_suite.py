@@ -1,6 +1,5 @@
 """The 21-benchmark suite: registry, structure, instantiability."""
 
-import numpy as np
 import pytest
 
 from repro.ir.dependence import validate_parallelism
