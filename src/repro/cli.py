@@ -44,7 +44,7 @@ FLT report and exits with the gate's code.
 
 Examples::
 
-    python -m repro analyze --all --json diagnostics.json
+    python -m repro analyze --json diagnostics.json
     python -m repro analyze mxm nbf --verbose
     python -m repro analyze --fixture carried-stencil   # exits 1
     python -m repro lint --json repro_lint.json
@@ -869,8 +869,6 @@ COMMANDS: Tuple[Tuple[str, str, Handler, Tuple[ArgSpec, ...]], ...] = (
     ("analyze", "static verification: parallel safety + mapping legality",
      cmd_analyze, (
          APPS,
-         _arg("--all", action="store_true", dest="all_apps",
-              help="analyze the whole bundled suite (the default)"),
          _arg("--fixture", default="", choices=[""] + fixture_names(),
               help="also analyze a deliberately-flawed fixture workload"),
          _arg("--config-only", action="store_true",
