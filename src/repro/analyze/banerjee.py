@@ -77,21 +77,6 @@ def concrete_bounds(
     return bounds
 
 
-def _substitute_params(
-    expr: AffineExpr, loop_names: Sequence[str], params: Mapping[str, int]
-) -> Optional[AffineExpr]:
-    """Bind every non-loop symbol; ``None`` if any stays unbound."""
-    bindable = {
-        s: params[s]
-        for s, _ in expr.coeffs
-        if s not in loop_names and s in params
-    }
-    out = expr.substitute(bindable)
-    if any(s not in loop_names for s, _ in out.coeffs):
-        return None
-    return out
-
-
 def _triangle_extrema(
     slope_i: int, slope_d: int, lo: int, up: int
 ) -> Tuple[int, int]:

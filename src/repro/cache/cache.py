@@ -142,10 +142,6 @@ class Cache:
     def resident_lines(self) -> int:
         return sum(len(lines) for lines in self._sets.values())
 
-    def reset(self) -> None:
-        self._sets.clear()
-        self.stats = CacheStats()
-
 
 class BulkAccessCursor:
     """Applies the hit portions of a sequential access stream in bulk.

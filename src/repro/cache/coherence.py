@@ -126,7 +126,3 @@ class Directory:
     def sharers_of(self, line_addr: int) -> Set[int]:
         sharers = self._entries.get(line_addr, (-1, 0))[1]
         return {node for node in range(sharers.bit_length()) if sharers >> node & 1}
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.stats = CoherenceStats()

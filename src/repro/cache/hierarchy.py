@@ -124,13 +124,6 @@ class CacheHierarchy:
         """
         return self._l1s[core].bulk_cursor(paddrs, writes)
 
-    def reset(self) -> None:
-        for cache in self._l1s:
-            cache.reset()
-        for cache in self._llcs:
-            cache.reset()
-        self._directory.reset()
-
     # ------------------------------------------------------------------
     def aggregate_l1_stats(self) -> Tuple[int, int]:
         """(accesses, hits) summed over all L1s."""

@@ -9,9 +9,10 @@ Commands:
                                        process-safety lint of the repo's
                                        own ``src/repro`` tree
 * ``run [APP ...] [--mapping M] [--workers N] [--cache-dir D]``
-                                    -- simulate one or many apps; with
-                                       ``--workers``/``--cache-dir`` the
-                                       sweep runs sharded + memoized;
+                                    -- simulate one or many apps as a
+                                       sweep of cells; ``--workers`` and
+                                       ``--cache-dir`` shard and memoize
+                                       it without changing a number;
                                        ``--trace [F]`` also records a
                                        validated span trace of the sweep;
                                        ``--fault SPEC`` runs under a gated
@@ -23,9 +24,7 @@ Commands:
 * ``cache {stats,clear}``           -- inspect / empty a result cache
 * ``compare APP [...]``             -- default vs location-aware side by side
 * ``profile APP [...]``             -- phase breakdown + manifest for one
-                                       run (``--json`` machine-readable,
-                                       ``--workers N`` profiles a traced
-                                       sweep incl. worker-side phases)
+                                       run (``--json`` machine-readable)
 * ``heatmap APP [--metric M] [...]``-- spatial traffic over the mesh
 * ``faults {list,compare} [APP ...]``-- fault plans: show the grammar or
                                        render a plan; A/B the fault-aware
@@ -61,7 +60,6 @@ Examples::
     python -m repro cache stats --cache-dir .repro-cache
     python -m repro profile mxm --mapping la --events /tmp/mxm.jsonl
     python -m repro profile mxm --json
-    python -m repro profile mxm --workers 2
     python -m repro heatmap mxm --metric mc --mapping la
     python -m repro figure fig09 --apps mxm,nbf --scale 0.5
     python -m repro fuzz --seed 7 --iterations 25 --json fuzz.json
@@ -317,37 +315,6 @@ def cmd_run(args) -> int:
         str(Path(cache_dir) / "compile") if cache_dir else None
     )
 
-    if (len(apps) == 1 and args.workers == 1 and cache_dir is None
-            and not args.trace):
-        # One run on the harness's seed, as compare, profile and the
-        # figures use; sweep cells derive their seed from the cell key.
-        if compile_cache_dir is not None:
-            from repro.compile import configure_compile_cache
-
-            configure_compile_cache(compile_cache_dir)
-        workload = build_workload(apps[0])
-        result = run_workload(
-            workload, config, mapping=args.mapping, scale=args.scale,
-            analyze_gate=args.gate, fault_plan=fault_plan,
-            fault_aware=fault_aware,
-        )
-        s = result.stats
-        print(f"{apps[0]} [{args.mapping}, {args.llc} LLC, "
-              f"scale {args.scale}]")
-        if fault_plan is not None:
-            print(f"  faults:              {fault_plan.describe()} "
-                  f"({'aware' if fault_aware else 'oblivious'} mapping)")
-        print(f"  execution cycles:    {s.execution_cycles:,}")
-        print(f"  avg network latency: {s.avg_network_latency:.1f} "
-              "cycles/packet")
-        print(f"  avg hops:            {s.avg_hops:.2f}")
-        print(f"  L1 hit rate:         {s.l1_hit_rate:.3f}")
-        print(f"  LLC miss rate:       {s.llc_miss_rate:.3f}")
-        if s.overhead_cycles:
-            print(f"  runtime overhead:    {100 * s.overhead_fraction:.2f}%")
-        return 0
-
-    # Sweep path: shard the (app x mapping) cells over the executor.
     from repro.exec import run_sweep, sweep_matrix, sweep_table, sweep_tracer
 
     if args.gate:
@@ -377,6 +344,9 @@ def cmd_run(args) -> int:
         title=(f"sweep [{args.mapping}, {args.llc} LLC, "
                f"scale {args.scale}, workers {args.workers}]"),
     ))
+    if fault_plan is not None:
+        print(f"faults: {fault_plan.describe()} "
+              f"({'aware' if fault_aware else 'oblivious'} mapping)")
     summary = result.summary()
     print()
     print(f"wall time: {summary['wall_seconds']:.2f}s  "
@@ -495,81 +465,44 @@ def _run_with_telemetry(args, level: str = "off", fault_plan=None):
 
 
 def cmd_profile(args) -> int:
-    document: Dict[str, Any] = {
-        "schema": "repro.profile/1",
-        "app": args.app,
-        "mapping": args.mapping,
-        "llc": args.llc,
-        "scale": args.scale,
-        "workers": max(args.workers, 1),
-    }
-    if args.workers > 1:
-        # A traced one-app sweep: the coordinator's own timers cannot see
-        # inside pool workers, so the workers' phase spans ride back to
-        # the coordinator tracer and phase_table folds them per path.
-        from repro.exec import run_sweep, sweep_matrix, sweep_tracer
-        from repro.obs import phase_table
-
-        cells = sweep_matrix(
-            [args.app], _config(args), mappings=(args.mapping,),
-            scales=(args.scale,),
-        )
-        tracer = sweep_tracer(cells)
-        result = run_sweep(cells, workers=args.workers, tracer=tracer)
-        pids = result.worker_pids()
-        merged = phase_table(tracer.spans)
-        document.update(
-            trace_id=tracer.context.trace_id,
-            worker_pids=pids,
-            phases={path: rec.as_dict() for path, rec in merged.items()},
-        )
-        if not args.json:
-            print(f"{args.app} [{args.mapping}, {args.llc} LLC, "
-                  f"scale {args.scale}, workers {args.workers}]")
-            print()
-            print_table(
-                ["phase (worker-side)", "calls", "seconds"],
-                [[path, rec.calls, rec.seconds]
-                 for path, rec in merged.items()],
-                title="merged worker phase profile",
-                float_fmt="{:.4f}",
-            )
-            print(f"\nworker pids: "
-                  f"{', '.join(str(p) for p in pids) or '(in-process)'}")
-    else:
-        telemetry, result = _run_with_telemetry(args, level=args.level)
-        if args.events:
-            telemetry.events.save(args.events)
-        stats = result.stats
+    telemetry, result = _run_with_telemetry(args, level=args.level)
+    if args.events:
+        telemetry.events.save(args.events)
+    stats = result.stats
+    if args.json:
         snap = telemetry.snapshot()
-        document.update(
-            counters=manifest_counters(stats.manifest),
-            histograms=snap["histograms"],
-            phases=snap["phases"],
-            manifest=stats.manifest,
-            stats={
+        json.dump({
+            "schema": "repro.profile/1",
+            "app": args.app,
+            "mapping": args.mapping,
+            "llc": args.llc,
+            "scale": args.scale,
+            "workers": 1,
+            "counters": manifest_counters(stats.manifest),
+            "histograms": snap["histograms"],
+            "phases": snap["phases"],
+            "manifest": stats.manifest,
+            "stats": {
                 "execution_cycles": stats.execution_cycles,
                 "avg_network_latency": stats.avg_network_latency,
                 "avg_hops": stats.avg_hops,
                 "l1_hit_rate": stats.l1_hit_rate,
                 "llc_miss_rate": stats.llc_miss_rate,
             },
-        )
-        if not args.json:
-            print(f"{args.app} [{args.mapping}, {args.llc} LLC, "
-                  f"scale {args.scale}]")
-            print()
-            print(render_phase_table(telemetry))
-            print()
-            print(render_histograms(telemetry))
-            print()
-            print(render_manifest(stats.manifest))
-            if args.events:
-                print(f"\n{len(telemetry.events.events)} events -> "
-                      f"{args.events}")
-    if args.json:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
+        }, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
+        return 0
+    print(f"{args.app} [{args.mapping}, {args.llc} LLC, "
+          f"scale {args.scale}]")
+    print()
+    print(render_phase_table(telemetry))
+    print()
+    print(render_histograms(telemetry))
+    print()
+    print(render_manifest(stats.manifest))
+    if args.events:
+        print(f"\n{len(telemetry.events.events)} events -> "
+              f"{args.events}")
     return 0
 
 
@@ -849,8 +782,6 @@ APPS = _arg("apps", nargs="*", choices=[[]] + list(SUITE_ORDER),
             help="benchmarks (analyze defaults to the whole suite; run "
                  "takes --suite for all 21)")
 LLC = _arg("--llc", default="shared", choices=("shared", "private"))
-WORKERS = _arg("--workers", type=int, default=1,
-               help="process-pool width (default 1 = serial)")
 JSON_FILE = _arg("--json", default="", metavar="FILE",
                  help="also write the machine-readable result to this file")
 FAULT = _arg("--fault", action="append", default=[], metavar="SPEC",
@@ -902,7 +833,7 @@ COMMANDS: Tuple[Tuple[str, str, Handler, Tuple[ArgSpec, ...]], ...] = (
               help="also show suppressed and baselined findings"),
          JSON_FILE,
      )),
-    ("run", "simulate one application, or a sharded sweep of many",
+    ("run", "simulate one or many applications as a sweep of cells",
      cmd_run, (
          APPS,
          _mapping("default"),
@@ -913,7 +844,8 @@ COMMANDS: Tuple[Tuple[str, str, Handler, Tuple[ArgSpec, ...]], ...] = (
                    "error findings"),
          _arg("--suite", action="store_true",
               help="run the whole 21-benchmark suite"),
-         WORKERS,
+         _arg("--workers", type=int, default=1,
+              help="process-pool width (default 1 = serial)"),
          _arg("--cache-dir", default="",
               help="memoize completed cells in this content-addressed "
                    "cache directory"),
@@ -969,7 +901,6 @@ COMMANDS: Tuple[Tuple[str, str, Handler, Tuple[ArgSpec, ...]], ...] = (
          _arg("--json", action="store_true",
               help="machine-readable profile on stdout (stable key order) "
                    "instead of the tables"),
-         WORKERS,
      )),
     ("heatmap", "spatial traffic heatmaps over the mesh", cmd_heatmap, (
         *ONE_RUN,

@@ -53,10 +53,6 @@ class ArchitectureView:
     def mc_of(self, vaddr: int) -> int:
         return self.distribution.mc_of(vaddr)
 
-    def bank_region_of(self, vaddr: int) -> int:
-        bank = self.distribution.bank_of(vaddr)
-        return self.partition.region_of_node(bank)
-
     def bank_region_table(self) -> np.ndarray:
         """Home-bank -> region lookup table (vectorized CAI path)."""
         return np.fromiter(

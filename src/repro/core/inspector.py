@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.snuca import LLCOrganization
-from repro.sim.engine import ExecutionEngine, ObservedSet, TripPlan
+from repro.sim.engine import ExecutionEngine, ObservedSet
 
 from .affinity import affinity_from_counts
 from .alpha import determine_alpha
@@ -76,7 +76,8 @@ class InspectorReport:
 
 
 class InspectorExecutor:
-    """Runs an irregular program: one observed trip, then optimized trips."""
+    """Derives an irregular program's executor schedule from one observed
+    trip."""
 
     def __init__(
         self,
@@ -91,76 +92,27 @@ class InspectorExecutor:
         self.region_of_node = region_of_node
         self.cost = cost or InspectorCost()
         # Fault-aware runs pass the pristine-table mapper alongside the
-        # degraded one; _derive races both on the observed affinities and
+        # degraded one; derive races both on the observed affinities and
         # keeps the schedule that prices cheaper on the degraded topology
         # (oblivious on ties), mirroring the compiler's candidate pass.
         self.oblivious_mapper = oblivious_mapper
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        default_schedules: Dict[int, Dict[int, int]],
-        trips: int,
-        observe_executor: bool = False,
-    ):
-        """Execute ``trips`` timing-loop trips; returns (stats, report).
+    def derive(
+        self, base_schedules: Dict[int, Dict[int, int]]
+    ) -> InspectorReport:
+        """Turn the inspector trip's observations into the executor's report.
 
-        Trip 1 = inspector (default schedule, observed).  Trips 2..N =
-        executor with the derived schedule.  With ``trips == 1`` the
-        schedule is computed but there is no executor trip to benefit --
-        the degenerate case where inspection cannot pay off.
+        The engine must already have run the inspector trip under
+        ``base_schedules`` with ``observe_label=INSPECT_LABEL``.  The report
+        holds the observed affinities, one schedule per nest (the fault-aware
+        and oblivious arms raced when an oblivious mapper is given) and the
+        inspector's cycle charge.  A nest whose accesses all hit in L1 during
+        inspection produced no observations: it keeps its round-robin
+        schedule from ``base_schedules``.
         """
-        if trips < 1:
-            raise ValueError("need at least one trip")
+        table = self.engine.observations.get(INSPECT_LABEL, {})
         report = InspectorReport()
-        plans = [
-            TripPlan(schedules=default_schedules, observe_label=INSPECT_LABEL)
-        ]
-        stats = None
-        if trips == 1:
-            stats = self.engine.run(plans)
-            self._derive(report)
-            return stats, report
-        # Run the inspector trip, derive the schedule, then the executor
-        # trips -- engine state (caches, clocks) carries across calls only
-        # through the returned clock, so we assemble all plans up front by
-        # first dry-running the inspector observation pass.
-        stats = self.engine.run(plans)
-        inspector_clock = stats.execution_cycles
-        self._derive(report)
-        report.overhead_cycles = self.cost.total_cycles(
-            recorded_accesses=self._recorded_accesses(),
-            num_sets=len(report.affinities),
-            num_cores=self.engine.machine.mesh.num_nodes,
-        )
-        executor_plans = [
-            TripPlan(
-                schedules=report.schedules,
-                observe_label=EXECUTE_LABEL if observe_executor else None,
-                overhead_cycles=report.overhead_cycles if trip == 0 else 0,
-            )
-            for trip in range(trips - 1)
-        ]
-        # Continue at the inspector's finish time so machine components
-        # (DRAM bank timers, network contention windows) stay consistent.
-        executor_stats = self.engine.run(
-            executor_plans, start_cycle=inspector_clock
-        )
-        # Component counters are cumulative in the machine, so the second
-        # fill_stats already holds run totals; execution_cycles is absolute.
-        executor_stats.overhead_cycles = report.overhead_cycles
-        executor_stats.memory_stall_cycles += stats.memory_stall_cycles
-        executor_stats.iterations_executed += stats.iterations_executed
-        return executor_stats, report
-
-    # ------------------------------------------------------------------
-    def _recorded_accesses(self) -> int:
-        table = self.engine.observations.get(INSPECT_LABEL, {})
-        return sum(entry.llc_accesses for entry in table.values())
-
-    def _derive(self, report: InspectorReport) -> None:
-        """Turn trip-1 observations into affinities and schedules."""
-        table = self.engine.observations.get(INSPECT_LABEL, {})
         by_nest: Dict[int, List[SetAffinity]] = {}
         organization = self.mapper.organization
         num_regions = self.mapper.partition.num_regions
@@ -201,6 +153,16 @@ class InspectorExecutor:
                     schedule = oblivious
             report.schedules[nest_index] = schedule.set_to_core
             report.moved_fractions[nest_index] = schedule.moved_fraction
+        report.overhead_cycles = self.cost.total_cycles(
+            recorded_accesses=sum(
+                entry.llc_accesses for entry in table.values()
+            ),
+            num_sets=len(report.affinities),
+            num_cores=self.engine.machine.mesh.num_nodes,
+        )
+        for nest_index, base in base_schedules.items():
+            report.schedules.setdefault(nest_index, base)
+        return report
 
     def _affinity_from_observation(
         self,

@@ -211,10 +211,6 @@ class Mapper:
             return eta_c + eta_m
         return combined_eta(eta_c, eta_m, affinity.alpha)
 
-    def error_matrix(self, affinities: Sequence[SetAffinity]) -> np.ndarray:
-        """``errors[i, r]`` for every (set index, region) pair."""
-        return self._error_matrix_with(affinities, self._macs, self._cacs)
-
     def _error_matrix_with(
         self, affinities: Sequence[SetAffinity], macs, cacs
     ) -> np.ndarray:

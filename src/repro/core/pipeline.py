@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.analyze.diagnostics import AnalysisError, AnalysisReport
 from repro.analyze.invariants import check_set_affinities
 from repro.analyze.parallel import certify_nest
@@ -70,14 +68,6 @@ class CompiledSchedule:
         if not self.moved_fractions:
             return 0.0
         return sum(self.moved_fractions.values()) / len(self.moved_fractions)
-
-    def predicted_mai(self, nest_index: int, set_id: int) -> Optional[np.ndarray]:
-        affinity = self.affinities.get((nest_index, set_id))
-        return affinity.mai if affinity is not None else None
-
-    def predicted_cai(self, nest_index: int, set_id: int) -> Optional[np.ndarray]:
-        affinity = self.affinities.get((nest_index, set_id))
-        return affinity.cai if affinity is not None else None
 
 
 class LocationAwareCompiler:
@@ -130,8 +120,6 @@ class LocationAwareCompiler:
         self.analyze_gate = analyze_gate
         # Optional repro.obs.Telemetry: phases time the Figure 4 stages and
         # the mapper narrates its decisions into the hub's event stream.
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None
         self.telemetry = telemetry
         self.iteration_set_fraction = (
             iteration_set_fraction

@@ -17,7 +17,6 @@ See ``docs/parallel_execution.md``.
 from .cache import ResultCache
 from .cells import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_BASE_SEED,
     SweepCell,
     resolve_workload,
     sweep_matrix,
@@ -36,7 +35,6 @@ from .executor import (
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CellResult",
-    "DEFAULT_BASE_SEED",
     "ResultCache",
     "SweepCell",
     "SweepError",

@@ -22,13 +22,12 @@ executor without registering themselves in the suite.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import PIPELINE_VERSION
+from repro.experiments.harness import DEFAULT_SEED
 from repro.obs.manifest import _normalize, sweep_cache_key
 from repro.obs.tracing import TraceContext
 from repro.sim.config import SystemConfig
@@ -39,9 +38,6 @@ CACHE_SCHEMA_VERSION = 1
 """Schema of cached cell payloads.  Bump on any payload layout change:
 the version is folded into every cache key AND stored in every entry, so
 old entries become unreadable misses rather than silently misparsed."""
-
-DEFAULT_BASE_SEED = 11
-"""Base seed the per-cell seed derivation folds in (the harness default)."""
 
 KWPairs = Tuple[Tuple[str, Any], ...]
 
@@ -86,23 +82,24 @@ class SweepCell:
     cme_accuracy: float = 0.85
     observe: bool = False
     collect_obs: bool = False
-    seed: Optional[int] = None
+    seed: int = DEFAULT_SEED
+    """The seed the cell runs on; the harness seed unless given."""
     workloads: Tuple[str, ...] = ()
     workload_args: KWPairs = ()
     faults: Tuple[str, ...] = ()
     fault_aware: bool = True
     trace: Optional[TraceContext] = None
     """Span-tracing context the coordinator stamps at submit time.  NOT
-    part of the cell's identity, cache key, or derived seed: tracing is
-    pure observation, and a traced cell must replay an untraced cell's
-    cached payload (and vice versa) byte-identically."""
+    part of the cell's identity or cache key: tracing is pure observation,
+    and a traced cell must replay an untraced cell's cached payload (and
+    vice versa) byte-identically."""
 
     compile_cache_dir: Optional[str] = None
     """On-disk store for the compile-side artifact cache
     (:mod:`repro.compile`).  Like ``trace``, NOT part of the cell's
-    identity, cache key, or derived seed: the compile cache is
-    bit-transparent, so a cached compile must replay an uncached cell's
-    payload (and vice versa) byte-identically."""
+    identity or cache key: the compile cache is bit-transparent, so a
+    cached compile must replay an uncached cell's payload (and vice versa)
+    byte-identically."""
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -147,33 +144,11 @@ class SweepCell:
         }
         if self.faults:
             # Only faulted cells carry the extra keys: zero-fault cells keep
-            # the exact pre-faults identity, so their cache keys and derived
-            # seeds are stable across this feature's introduction.
+            # the exact pre-faults identity, so their cache keys are stable
+            # across this feature's introduction.
             identity["faults"] = list(self.faults)
             identity["fault_aware"] = self.fault_aware
         return identity
-
-    def effective_seed(self, base: int = DEFAULT_BASE_SEED) -> int:
-        """The seed this cell actually runs with.
-
-        An explicit ``seed`` wins.  Otherwise the seed is derived from the
-        same material the run manifest pins -- the config hash plus the
-        cell identity -- so every cell of a sweep gets its own stream,
-        reproducibly: the derivation depends only on cell content, never
-        on worker id, shard order, or wall clock.
-        """
-        if self.seed is not None:
-            return self.seed
-        material = json.dumps(
-            {
-                "base": base,
-                "config": _normalize(self.config),
-                **self.identity(),
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") % (2**31 - 1)
 
     def key(self) -> str:
         """Content-addressed cache key (config + identity + versions)."""
@@ -181,7 +156,7 @@ class SweepCell:
             self.config,
             schema=CACHE_SCHEMA_VERSION,
             pipeline=PIPELINE_VERSION,
-            seed=self.effective_seed(),
+            seed=self.seed,
             **self.identity(),
         )
 

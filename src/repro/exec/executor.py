@@ -7,10 +7,9 @@ equivalence suite (``tests/exec``) enforces:
 * **Determinism** -- a cell's payload depends only on the cell, never on
   worker count, shard order, cache state, or which attempt succeeded.
   Every path (serial loop, pool worker, in-process fallback, cache
-  replay) funnels through :func:`execute_cell`, whose seed comes from
-  :meth:`SweepCell.effective_seed`, and every payload is normalized
-  through a JSON round-trip so replayed and freshly-computed results are
-  literally ``==``.
+  replay) funnels through :func:`execute_cell`, which runs on the cell's
+  ``seed``, and every payload is normalized through a JSON round-trip so
+  replayed and freshly-computed results are literally ``==``.
 * **Memoization** -- with a :class:`~repro.exec.cache.ResultCache`,
   completed cells are skipped on re-runs and resumed sweeps; duplicate
   cells within one sweep are computed once and shared.
@@ -91,7 +90,6 @@ def execute_cell(
     # Configure the process compile cache first: the harness's "auto"
     # resolution then picks up the cell's on-disk store (if any).
     _cell_compile_cache(cell)
-    seed = cell.effective_seed()
     if cell.kind == "multiprog":
         from repro.experiments.multiprog import run_multiprogrammed
 
@@ -102,7 +100,7 @@ def execute_cell(
             mapping=cell.mapping,
             scale=cell.scale,
             cme_accuracy=cell.cme_accuracy,
-            seed=seed,
+            seed=cell.seed,
         )
         payload: Dict[str, Any] = {
             "kind": "multiprog",
@@ -128,7 +126,7 @@ def execute_cell(
             trips=cell.trips,
             cme_accuracy=cell.cme_accuracy,
             observe=cell.observe,
-            seed=seed,
+            seed=cell.seed,
             telemetry=telemetry,
             fault_plan=fault_plan,
             fault_aware=cell.fault_aware,
@@ -290,42 +288,38 @@ class SweepResult:
 def sweep_table(result: SweepResult, title: str = "sweep results") -> str:
     """Deterministic text table over a sweep's payloads.
 
-    Rows are sorted by cell label (see ``app_metric_table(sort_rows=
-    True)``): the rendered bytes -- and hence any golden-snapshot hash of
-    them -- are identical however the sweep was sharded or replayed.
+    One row per cell: cycles as integers, average network latency, average
+    hops, L1 hit and LLC miss rates, and the runtime overhead (inspector
+    cycles) in percent of execution time.  Rows are sorted by cell label
+    (see ``app_metric_table(sort_rows=True)``): the rendered bytes -- and
+    hence any golden-snapshot hash of them -- are identical however the
+    sweep was sharded or replayed.
     """
     from repro.experiments.report import app_metric_table
+    from repro.sim.stats import RunStats
 
-    per_cell: Dict[str, Dict[str, float]] = {}
+    per_cell: Dict[str, Dict[str, str]] = {}
     for r in result.results:
         label = r.cell.label()
         if label in per_cell:
             label = f"{label}#{r.key[:6]}"
         if r.payload.get("kind") == "multiprog":
-            per_cell[label] = {"cycles": float(r.payload["makespan"])}
+            per_cell[label] = {"cycles": f"{r.payload['makespan']:,}"}
             continue
-        stats = r.payload["stats"]
-        packets = stats["network_packets"]
+        stats = RunStats(**r.payload["stats"])
         per_cell[label] = {
-            "cycles": float(stats["execution_cycles"]),
-            "net_latency": (
-                stats["network_total_latency"] / packets if packets else 0.0
-            ),
-            "l1_hit_rate": (
-                stats["l1_hits"] / stats["l1_accesses"]
-                if stats["l1_accesses"]
-                else 0.0
-            ),
-            "llc_miss_rate": (
-                1.0 - stats["llc_hits"] / stats["llc_accesses"]
-                if stats["llc_accesses"]
-                else 0.0
-            ),
+            "cycles": f"{stats.execution_cycles:,}",
+            "net_latency": f"{stats.avg_network_latency:.1f}",
+            "avg_hops": f"{stats.avg_hops:.2f}",
+            "l1_hit_rate": f"{stats.l1_hit_rate:.3f}",
+            "llc_miss_rate": f"{stats.llc_miss_rate:.3f}",
+            "overhead_pct": f"{100 * stats.overhead_fraction:.2f}",
         }
     return app_metric_table(
         title,
         per_cell,
-        ["cycles", "net_latency", "l1_hit_rate", "llc_miss_rate"],
+        ["cycles", "net_latency", "avg_hops", "l1_hit_rate",
+         "llc_miss_rate", "overhead_pct"],
         sort_rows=True,
     )
 
@@ -371,7 +365,6 @@ def run_sweep(
     max_retries: int = DEFAULT_MAX_RETRIES,
     backoff_base: float = DEFAULT_BACKOFF_BASE,
     cell_timeout: Optional[float] = None,
-    events: Optional[EventStream] = None,
     tracer: Optional[Tracer] = None,
 ) -> SweepResult:
     """Execute a sweep's cells, fanned out over ``workers`` processes.
@@ -385,9 +378,6 @@ def run_sweep(
     * ``cell_timeout`` -- seconds a worker may spend on one attempt of one
       cell before the pool is recycled and the cell counted as failed
       (there is no way to cancel a single running pool task).
-    * ``events`` -- an :class:`EventStream` receiving ``cache.hit`` /
-      ``cache.miss`` / ``cache.store`` / ``cell.retry`` /
-      ``cell.fallback`` / ``sweep.*`` decision events.
     * ``tracer`` -- a :class:`repro.obs.Tracer`: executor lifecycle spans
       (submit / queue-wait / attempt / retry-backoff / pool-rebuild /
       cache-hit) are recorded in the coordinator, every cell carries a
@@ -405,20 +395,9 @@ def run_sweep(
     if tracer is None:
         tracer = Tracer.disabled()
 
-    def emit(kind: str, **fields: Any) -> None:
-        if events is not None:
-            events.emit(kind, **fields)
-
     cells = list(cells)
     keys = [cell.key() for cell in cells]
     wall_start = time.perf_counter()
-    emit(
-        "sweep.start",
-        cells=len(cells),
-        unique=len(set(keys)),
-        workers=workers,
-        cached=cache is not None,
-    )
 
     done_by_key: Dict[str, CellResult] = {}
     result = SweepResult(results=[], workers=workers)
@@ -455,7 +434,6 @@ def run_sweep(
             cached = cache.get(key) if cache is not None else None
             if cached is not None:
                 result.cache_hits += 1
-                emit("cache.hit", key=key, cell=cell.label())
                 tracer.instant(
                     "cache-hit", cat="executor", scope=key, cell=cell.label()
                 )
@@ -465,7 +443,6 @@ def run_sweep(
                 continue
             if cache is not None:
                 result.cache_misses += 1
-                emit("cache.miss", key=key, cell=cell.label())
             pending.append(_Pending(index=index, cell=cell, key=key))
             pending_keys.add(key)
 
@@ -477,7 +454,6 @@ def run_sweep(
             tracer.add_spans(raw.get("spans") or ())
             if cache is not None:
                 cache.put(item.key, payload)
-                emit("cache.store", key=item.key, cell=item.cell.label())
             done_by_key[item.key] = CellResult(
                 cell=item.cell,
                 key=item.key,
@@ -504,13 +480,6 @@ def run_sweep(
                         ) from exc
                     result.retries += 1
                     backoff = backoff_base * (2 ** (item.failures - 1))
-                    emit(
-                        "cell.retry",
-                        key=item.key,
-                        cell=item.cell.label(),
-                        attempt=item.failures + 1,
-                        reason=type(exc).__name__,
-                    )
                     _backoff_sleep(tracer, item, backoff)
                 else:
                     finish(
@@ -532,7 +501,6 @@ def run_sweep(
                 cell_timeout=cell_timeout,
                 finish=finish,
                 fallback=lambda item: (run_inline(item, in_process=True)),
-                emit=emit,
                 result=result,
                 tracer=tracer,
                 stamp=stamp,
@@ -544,7 +512,6 @@ def run_sweep(
             for cell, key in zip(cells, keys)
         ]
     result.wall_seconds = time.perf_counter() - wall_start
-    emit("sweep.end", **result.summary())
     return result
 
 
@@ -565,7 +532,6 @@ def _run_pool(
     cell_timeout: Optional[float],
     finish,
     fallback,
-    emit,
     result: SweepResult,
     stamp,
     tracer: Tracer,
@@ -590,20 +556,11 @@ def _run_pool(
         item.failures += 1
         if item.failures <= max_retries:
             result.retries += 1
-            emit(
-                "cell.retry",
-                key=item.key,
-                cell=item.cell.label(),
-                attempt=item.failures + 1,
-                reason=reason,
-            )
             _backoff_sleep(
                 tracer, item, backoff_base * (2 ** (item.failures - 1))
             )
             return [item]
         result.fallbacks += 1
-        emit("cell.fallback", key=item.key, cell=item.cell.label(),
-             reason=reason)
         fallback(item)
         return []
 

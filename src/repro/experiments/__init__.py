@@ -2,6 +2,7 @@
 
 from .harness import (
     DEFAULT_CME_ACCURACY,
+    DEFAULT_SEED,
     MAPPINGS,
     RunResult,
     compare,
@@ -10,6 +11,7 @@ from .harness import (
 
 __all__ = [
     "DEFAULT_CME_ACCURACY",
+    "DEFAULT_SEED",
     "MAPPINGS",
     "RunResult",
     "compare",

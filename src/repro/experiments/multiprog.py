@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.baselines.default import default_schedules, partition_all_nests
-from repro.core.inspector import InspectorExecutor, InspectorReport
+from repro.core.inspector import INSPECT_LABEL, InspectorExecutor
 from repro.core.pipeline import LocationAwareCompiler
 from repro.sim.config import SystemConfig
 from repro.sim.engine import ExecutionEngine, TripPlan
@@ -29,7 +29,7 @@ from repro.sim.stats import RunStats, percent_reduction
 from repro.sim.trace import ProgramTrace
 from repro.workloads.base import Workload
 
-from .harness import DEFAULT_CME_ACCURACY
+from .harness import DEFAULT_CME_ACCURACY, DEFAULT_SEED
 
 
 @dataclass
@@ -64,10 +64,8 @@ def _schedules_for(
     inspector = InspectorExecutor(
         engine, compiler.mapper, compiler.partition.region_of_node
     )
-    engine.run([TripPlan(schedules=base, observe_label="inspector")])
-    report = InspectorReport()
-    inspector._derive(report)
-    return report.schedules
+    engine.run([TripPlan(schedules=base, observe_label=INSPECT_LABEL)])
+    return inspector.derive(base).schedules
 
 
 def run_multiprogrammed(
@@ -76,7 +74,7 @@ def run_multiprogrammed(
     mapping: str = "default",
     scale: float = 1.0,
     cme_accuracy: float = DEFAULT_CME_ACCURACY,
-    seed: int = 11,
+    seed: int = DEFAULT_SEED,
 ) -> MultiProgramResult:
     """Run several applications concurrently on one machine.
 
@@ -161,7 +159,7 @@ def multiprogrammed_improvement(
     workloads: Sequence[Workload],
     config: SystemConfig,
     scale: float = 1.0,
-    seed: int = 11,
+    seed: int = DEFAULT_SEED,
 ) -> float:
     """Percent makespan reduction of LA over default for a bundle."""
     base = run_multiprogrammed(

@@ -53,12 +53,15 @@ def print_table(
 
 def app_metric_table(
     title: str,
-    per_app: Mapping[str, Mapping[str, float]],
+    per_app: Mapping[str, Mapping[str, object]],
     metrics: Sequence[str],
     summary_row: Optional[Mapping[str, float]] = None,
     sort_rows: bool = False,
 ) -> str:
     """Table with one row per application and one column per metric.
+
+    Float values render at one decimal; pass strings to choose another
+    precision per column.
 
     ``sort_rows=True`` orders rows by application name instead of by dict
     insertion order.  Results assembled from a parallel sweep arrive in

@@ -21,16 +21,16 @@ from repro.memory.distribution import DataDistribution
 from .plan import FaultPlan, FaultPlanError
 
 
-def _remap_table(num_targets: int, offline: FrozenSet[int]) -> np.ndarray:
+def _remap_table(num_targets: int, offline: FrozenSet[int]) -> List[int]:
     healthy: List[int] = [t for t in range(num_targets) if t not in offline]
     if not healthy:
         raise FaultPlanError(
             "fault plan offlines every target; at least one must survive"
         )
-    table = np.arange(num_targets, dtype=np.int64)
-    for t in offline:
-        table[t] = healthy[t % len(healthy)]
-    return table
+    return [
+        healthy[t % len(healthy)] if t in offline else t
+        for t in range(num_targets)
+    ]
 
 
 class DegradedDistribution:
@@ -76,17 +76,19 @@ class DegradedDistribution:
         return self.base.bank_granularity
 
     # -- queries ---------------------------------------------------------
+    # The scalar lookups run once per L1 miss, so they index the plain
+    # lists; the batch twins index an array of the same table.
     def mc_of(self, addr: int) -> int:
-        return int(self._mc_lut[self.base.mc_of(addr)])
+        return self._mc_lut[self.base.mc_of(addr)]
 
     def bank_of(self, addr: int) -> int:
-        return int(self._bank_lut[self.base.bank_of(addr)])
+        return self._bank_lut[self.base.bank_of(addr)]
 
     def mc_of_batch(self, addrs):
-        return self._mc_lut[self.base.mc_of_batch(addrs)]
+        return np.asarray(self._mc_lut)[self.base.mc_of_batch(addrs)]
 
     def bank_of_batch(self, addrs):
-        return self._bank_lut[self.base.bank_of_batch(addrs)]
+        return np.asarray(self._bank_lut)[self.base.bank_of_batch(addrs)]
 
     def cache_material(self):
         """Content-addressed key material (:mod:`repro.compile`).

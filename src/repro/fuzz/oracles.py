@@ -23,7 +23,6 @@ them freely.
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.exec.cells import SweepCell
@@ -134,8 +133,3 @@ def check_sweep_differential(case: FuzzCase) -> Optional[str]:
         extra = f" (stats fields: {', '.join(diffs)})" if diffs else ""
         return "fast and reference cell payloads diverge" + extra
     return None
-
-
-def stable_json(payload: Any) -> str:
-    """Canonical JSON used whenever an oracle serializes for comparison."""
-    return json.dumps(payload, sort_keys=True)

@@ -13,7 +13,7 @@ Calling an :class:`ArrayDecl` with index expressions builds an access --
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .symbolic import AffineExpr, Bindings, ExprLike, as_expr
 
@@ -127,9 +127,6 @@ class ArraySpace:
 
     def total_bytes(self) -> int:
         return self._next - self.base_vaddr
-
-    def placed_arrays(self) -> List[str]:
-        return sorted(self._bases)
 
     def _align(self, addr: int) -> int:
         rem = addr % self.page_bytes

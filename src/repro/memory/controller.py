@@ -107,8 +107,3 @@ class MemoryController:
             done - issue - self._device_latency
         )
         return done
-
-    def reset(self) -> None:
-        self.channel.reset()
-        self.stats = ControllerStats()
-        self._inflight.clear()

@@ -161,11 +161,3 @@ class DramChannel:
         stats.reads += 1
         stats.total_latency += done - time
         return done
-
-    def reset(self) -> None:
-        for bank in self._banks:
-            bank.open_row = None
-            bank.busy_until = 0
-        for recent in self._recent:
-            recent.clear()
-        self.stats = DramStats()

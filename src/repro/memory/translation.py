@@ -61,9 +61,6 @@ class PageTable:
         """Pages allocated so far (each first touch is one fault)."""
         return self._page_faults
 
-    def mapped_pages(self) -> int:
-        return len(self._vpn_to_ppn)
-
     # ------------------------------------------------------------------
     def translate(self, vaddr: int) -> int:
         """Translate ``vaddr``, allocating the backing page on first touch."""

@@ -103,7 +103,3 @@ class AnalyticNetwork(BaseNetwork):
             queueing += rho * service / (2.0 * (1.0 - rho))
         wait = int(round(queueing))
         return inject_time + base + wait, wait
-
-    def reset(self) -> None:
-        self._clear_windows()
-        self.reset_stats()

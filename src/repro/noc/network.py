@@ -77,7 +77,7 @@ class BaseNetwork:
             link: i for i, link in enumerate(self.links)
         }
         self.apply_faults(None)
-        # Telemetry attachment (see set_telemetry); all None when disabled
+        # Telemetry attachment (see set_telemetry); all None without a hub
         # so the per-packet fast path pays one predicate, nothing more.
         self.telemetry = None
         self._spatial = None
@@ -117,17 +117,11 @@ class BaseNetwork:
         return path
 
     def set_telemetry(self, telemetry) -> None:
-        """Attach a :class:`repro.obs.Telemetry` hub (or None to detach).
+        """Attach a :class:`repro.obs.Telemetry` hub.
 
         Caches the spatial accumulators and the latency/hops histograms so
         :meth:`transfer` never does a dict lookup per packet.
         """
-        if telemetry is None or not telemetry.enabled:
-            self.telemetry = None
-            self._spatial = None
-            self._hist_latency = None
-            self._hist_hops = None
-            return
         self.telemetry = telemetry
         self._spatial = telemetry.spatial
         self._hist_latency = telemetry.histogram("noc.packet_latency")
@@ -198,9 +192,6 @@ class BaseNetwork:
             + (num_flits - 1)
         )
 
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()
-
 
 class WormholeNetwork(BaseNetwork):
     """Link-reservation wormhole model with per-link contention."""
@@ -237,10 +228,3 @@ class WormholeNetwork(BaseNetwork):
             link_free[i] = ready + service
         # Tail arrives (flits - 1) cycles after the head.
         return head + flits - 1, queueing
-
-    def link_busy_until(self, link: Link) -> int:
-        return self._link_free[self._link_index[link]]
-
-    def reset(self) -> None:
-        self._link_free = [0] * len(self.links)
-        self.reset_stats()

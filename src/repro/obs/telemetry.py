@@ -8,12 +8,10 @@ a report asks for it.
 
 Cost model
 ----------
-Telemetry is opt-in.  Components treat an absent (``None``) or disabled
-hub as "off" and cache that decision once, so the simulator's hot paths
-(the bulk L1-hit filter, the per-packet network transfer) carry at most a
-predicate that was hoisted out of the loop.  The perf-harness guard
-(``benchmarks/test_perf_telemetry_guard.py``) pins the disabled-mode
-overhead below 2%.
+Telemetry is opt-in: ``None`` is the one "off" state.  Components cache
+whether a hub is attached once, so the simulator's hot paths (the bulk
+L1-hit filter, the per-packet network transfer) carry at most a predicate
+that was hoisted out of the loop.
 """
 
 from __future__ import annotations
@@ -163,20 +161,11 @@ class Histogram:
 
 
 class Telemetry:
-    """Per-run observability hub.
+    """Per-run observability hub; pass ``None`` instead for no telemetry."""
 
-    ``enabled=False`` builds a hub that every attachment point treats as
-    absent -- handy for keeping call sites uniform while paying nothing.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        events: Optional[EventStream] = None,
-    ):
-        self.enabled = enabled
+    def __init__(self, events: Optional[EventStream] = None):
         self.events = events if events is not None else EventStream(
-            level="decisions" if enabled else "off"
+            level="decisions"
         )
         self.histograms: Dict[str, Histogram] = {}
         self.spatial: Optional[SpatialAccumulators] = None
@@ -187,17 +176,12 @@ class Telemetry:
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Record phases on ``tracer`` (a sweep cell's) instead of the
         hub's local one, and mirror admitted decision events onto it as
-        instant child spans (via the event stream's tee).  A disabled hub
-        ignores the attachment -- tracing piggybacks on telemetry's cost
-        model."""
-        if not self.enabled or tracer is None or not tracer.enabled:
+        instant child spans (via the event stream's tee).  ``None`` or a
+        disabled tracer leaves the hub's local tracer in place."""
+        if tracer is None or not tracer.enabled:
             return
         self.tracer = tracer
         self.events.tee = tracer.event_tee()
-
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        return cls(enabled=False)
 
     # -- histograms ------------------------------------------------------
     def histogram(self, name: str) -> Histogram:
@@ -232,9 +216,6 @@ class Telemetry:
     def phase(self, name: str) -> Iterator[None]:
         """Time a phase as one ``cat="phase"`` span on the hub's tracer;
         nested phases record under dotted paths."""
-        if not self.enabled:
-            yield
-            return
         self._phase_stack.append(name)
         try:
             with self.tracer.span(".".join(self._phase_stack), cat="phase"):

@@ -113,8 +113,6 @@ class Manycore:
         )
         self._data_flits = flits_for_payload(config.l2_line_bytes)
         self._mc_nodes = [self.mesh.mc_node(i) for i in range(config.num_mcs)]
-        if telemetry is not None and not getattr(telemetry, "enabled", True):
-            telemetry = None  # a disabled hub is the same as no hub
         self.telemetry = telemetry
         self.spatial = None
         if telemetry is not None:
@@ -263,14 +261,3 @@ class Manycore:
         stats.llc_accesses, stats.llc_hits = llc_acc, llc_hit
         stats.dram_accesses = sum(mc.channel.stats.reads for mc in self.mcs)
         stats.dram_row_hits = sum(mc.channel.stats.row_hits for mc in self.mcs)
-
-    def reset(self) -> None:
-        self.hierarchy.reset()
-        for mc in self.mcs:
-            mc.reset()
-        self.network.reset()
-        if self.spatial is not None:
-            # Live stream accumulators follow the component counters; the
-            # snapshot fields are refreshed by collect_spatial anyway.
-            self.spatial.bank_touches[:] = 0
-            self.spatial.link_flits.clear()

@@ -115,11 +115,3 @@ def test_independent_lines_do_not_interact():
     d.read(0x200, 2)
     assert d.state_of(0x100) is DirState.OWNED
     assert d.state_of(0x200) is DirState.SHARED
-
-
-def test_reset():
-    d = Directory()
-    d.write(LINE, 1)
-    d.reset()
-    assert d.state_of(LINE) is DirState.INVALID
-    assert d.stats.write_requests == 0

@@ -96,10 +96,3 @@ class TestVictims:
         h.access(0, 1024, True)
         outcome = h.access(0, 36 * 2048, True)  # same bank, same set
         assert outcome[2] in (0, 1024)  # address 0 is a valid victim
-
-    def test_reset(self):
-        h = make_hierarchy()
-        h.access(0, 0, False)
-        h.reset()
-        acc, hits = h.aggregate_l1_stats()
-        assert acc == 0 and hits == 0

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.baselines.default import default_schedules, partition_all_nests
-from repro.core.inspector import InspectorCost, InspectorExecutor
+from repro.core.inspector import (
+    INSPECT_LABEL,
+    InspectorCost,
+    InspectorExecutor,
+)
 from repro.core.pipeline import LocationAwareCompiler
 from repro.sim.config import DEFAULT_CONFIG
-from repro.sim.engine import ExecutionEngine
+from repro.sim.engine import ExecutionEngine, TripPlan
 from repro.sim.machine import Manycore
 from repro.sim.trace import ProgramTrace
 from repro.workloads import build_workload
@@ -68,7 +72,10 @@ class TestCompilerPipeline:
 
 
 class TestInspectorExecutor:
-    def build(self, name="nbf", scale=0.25, config=DEFAULT_CONFIG):
+    def build(self, name="nbf", scale=0.25, config=DEFAULT_CONFIG,
+              inspect=True):
+        """An inspector over a fresh machine; with ``inspect`` the engine
+        has already run the observed inspector trip."""
         workload = build_workload(name)
         instance = workload.instantiate(scale=scale)
         sets = partition_all_nests(
@@ -81,41 +88,50 @@ class TestInspectorExecutor:
             engine, compiler.mapper, compiler.partition.region_of_node
         )
         base = default_schedules(instance, sets, 36)
+        if inspect:
+            engine.run([TripPlan(schedules=base, observe_label=INSPECT_LABEL)])
         return inspector, engine, base, sets
 
     def test_three_trip_run(self):
-        inspector, engine, base, sets = self.build()
-        stats, report = inspector.run(base, trips=3)
-        assert stats.execution_cycles > 0
+        inspector, engine, base, _ = self.build(inspect=False)
+        inspect_end = engine.run(
+            [TripPlan(schedules=base, observe_label=INSPECT_LABEL)]
+        ).execution_cycles
+        report = inspector.derive(base)
         assert report.schedules
-        assert report.overhead_cycles > 0
-        assert stats.overhead_cycles == report.overhead_cycles
+        assert report.overhead_cycles > inspector.cost.fixed_cycles
+        executor = engine.run(
+            [
+                TripPlan(schedules=report.schedules,
+                         overhead_cycles=report.overhead_cycles),
+                TripPlan(schedules=report.schedules),
+            ],
+            start_cycle=inspect_end,
+        )
+        assert executor.execution_cycles > inspect_end + report.overhead_cycles
 
     def test_derived_schedule_covers_all_sets(self):
         inspector, engine, base, sets = self.build()
-        _, report = inspector.run(base, trips=2)
+        report = inspector.derive(base)
         for nest_index, nest_sets in sets.items():
             observed_ids = set(report.schedules[nest_index])
             # Every set that generated at least one L1 miss is scheduled;
             # in practice that is all of them for this workload.
             assert observed_ids == {s.set_id for s in nest_sets}
 
-    def test_single_trip_has_no_executor(self):
-        inspector, engine, base, _ = self.build()
-        stats, report = inspector.run(base, trips=1)
-        assert report.overhead_cycles == 0
+    def test_unobserved_nests_keep_round_robin(self):
+        inspector, _, base, _ = self.build(inspect=False)
+        report = inspector.derive(base)
+        assert report.schedules == base
+        assert not report.affinities
+        assert report.overhead_cycles == inspector.cost.fixed_cycles
 
     def test_alpha_from_observation_is_valid(self):
         inspector, _, base, _ = self.build()
-        _, report = inspector.run(base, trips=2)
+        report = inspector.derive(base)
         for affinity in report.affinities.values():
             assert 0.0 <= affinity.alpha < 1.0
             assert affinity.cai is not None
-
-    def test_invalid_trip_count(self):
-        inspector, _, base, _ = self.build()
-        with pytest.raises(ValueError):
-            inspector.run(base, trips=0)
 
 
 class TestInspectorCost:

@@ -21,6 +21,7 @@ import pytest
 
 import repro.exec.cells as cells_mod
 from repro.exec import CACHE_SCHEMA_VERSION, ResultCache, SweepCell
+from repro.experiments import DEFAULT_SEED
 from repro.sim.config import DEFAULT_CONFIG
 
 STUB = {"kind": "stub", "value": 1.25}
@@ -87,15 +88,11 @@ def test_schema_and_pipeline_versions_are_folded_in(monkeypatch):
 
 
 def test_derived_seed_is_stable_and_content_addressed():
-    cell = base_cell()
-    assert cell.effective_seed() == cell.effective_seed()
-    # An explicit seed wins over derivation...
-    assert base_cell(seed=7).effective_seed() == 7
-    # ...and identity changes reseed derived cells.
-    assert (
-        base_cell().effective_seed()
-        != base_cell(mapping="la").effective_seed()
-    )
+    # An explicit seed wins...
+    assert base_cell(seed=7).seed == 7
+    # ...and every other cell runs on the harness seed, whatever its
+    # identity.
+    assert base_cell().seed == base_cell(mapping="la").seed == DEFAULT_SEED
 
 
 # ----------------------------------------------------------------------

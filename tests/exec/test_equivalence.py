@@ -10,12 +10,15 @@ extras (spatial accumulators, latency histograms) that ride along when
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.exec import SweepCell, run_sweep, sweep_matrix, sweep_table
+from repro.experiments import run_workload
 from repro.sim.config import DEFAULT_CONFIG
+from repro.workloads import build_workload
 
 APPS = ("mxm", "nbf")
 MAPPINGS = ("default", "la")
@@ -58,6 +61,18 @@ def test_shard_order_is_irrelevant(reference):
     # The rendered table sorts rows, so even the human-facing report is
     # byte-identical under resharding.
     assert sweep_table(result) == sweep_table(reference)
+
+
+def test_unseeded_cells_match_run_workload_defaults(reference):
+    """A cell built without a seed runs on the harness seed, so it
+    computes what ``run_workload`` computes at its defaults."""
+    for result in reference.results:
+        cell = result.cell
+        expected = run_workload(
+            build_workload(cell.workload), cell.config,
+            mapping=cell.mapping, scale=cell.scale,
+        )
+        assert result.payload["stats"] == dataclasses.asdict(expected.stats)
 
 
 def test_cache_cold_then_warm_replay(reference, tmp_path):

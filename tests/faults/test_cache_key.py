@@ -42,7 +42,7 @@ class TestKeySensitivity:
         assert a.faults == b.faults
         assert a.identity() == b.identity()
         assert a.key() == b.key()
-        assert a.effective_seed() == b.effective_seed()
+        assert a.seed == b.seed
 
 
 class TestZeroFaultCompatibility:
@@ -56,8 +56,7 @@ class TestZeroFaultCompatibility:
         # fault_aware must not leak into zero-fault keys: pre-faults cache
         # entries stay addressable.
         assert _cell(fault_aware=False).key() == _cell().key()
-        assert _cell(fault_aware=False).effective_seed() == \
-            _cell().effective_seed()
+        assert _cell(fault_aware=False).seed == _cell().seed
 
 
 class TestConstruction:

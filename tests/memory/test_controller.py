@@ -82,14 +82,6 @@ class TestBufferBound:
             make_mc(buffer_entries=0)
 
 
-def test_reset_clears_state():
-    mc = make_mc()
-    mc.access(0, time=0)
-    mc.reset()
-    assert mc.stats.requests == 0
-    assert mc.access(0, time=0) == mc.frontend_latency + DDR3_1333.row_closed_latency
-
-
 # ---------------------------------------------------------------------------
 # Golden request sequence: pins every completion time and the final
 # controller/DRAM counters, so any change to queueing, retirement or

@@ -80,13 +80,6 @@ class TestStatsAndReset:
         assert ch.stats.reads == 2
         assert 0 < ch.stats.row_hit_rate < 1
 
-    def test_reset(self):
-        ch = make_channel()
-        ch.access(0, 0)
-        ch.reset()
-        assert ch.stats.reads == 0
-        assert ch.access(0, 0) == DDR3_1333.row_closed_latency
-
 
 class TestTimingPresets:
     def test_ddr4_has_more_banks_and_faster_burst(self):

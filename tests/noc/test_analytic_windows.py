@@ -41,11 +41,3 @@ class TestWindowing:
         base = net.uncontended_latency(0, 1, 5)
         # rho cap 0.95 -> wait <= 0.95*5/(2*0.05) = 47.5 per link.
         assert base < worst <= base + 48
-
-    def test_reset_clears_windows(self):
-        net = AnalyticNetwork(MESH, window=64)
-        for k in range(100):
-            net.transfer(0, 1, k, DATA_FLITS)
-        net.reset()
-        arrival = net.transfer(0, 1, 0, CONTROL_FLITS)
-        assert arrival == net.uncontended_latency(0, 1, 1)

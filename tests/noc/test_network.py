@@ -133,13 +133,6 @@ class TestStats:
         assert s.flit_hops == 1 * 5 + 5 * 5
         assert s.avg_hops == 5.0
 
-    def test_reset_clears(self):
-        net = WormholeNetwork(MESH)
-        net.transfer(0, 5, 0, CONTROL_FLITS)
-        net.reset()
-        assert net.stats.packets == 0
-        assert net.link_busy_until((0, 1)) == 0
-
     @given(st.integers(0, 35), st.integers(0, 35))
     @settings(max_examples=30)
     def test_latency_never_negative(self, src, dst):

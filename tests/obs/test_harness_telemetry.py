@@ -51,13 +51,6 @@ class TestPhasesAndManifest:
         result = _run("mxm", "default")
         assert result.stats.manifest is None
 
-    def test_disabled_hub_is_inert(self):
-        tele = Telemetry.disabled()
-        result = _run("mxm", "la", tele)
-        assert result.stats.manifest is None
-        assert tele.phases == {}
-        assert tele.spatial is None
-
 
 class TestSpatialThroughHarness:
     def test_spatial_collected_and_reconciled(self):

@@ -6,13 +6,6 @@ import pytest
 from repro.obs import Histogram, Telemetry
 
 
-class TestCounters:
-    def test_disabled_hub_ignores_counts(self):
-        tele = Telemetry.disabled()
-        assert not tele.enabled
-        assert not tele.events.enabled
-
-
 class TestHistogram:
     def test_scalar_and_bulk_recording_agree(self):
         a, b = Histogram("a"), Histogram("b")
@@ -93,12 +86,6 @@ class TestPhases:
         rows = tele.phase_rows()
         assert {row[0] for row in rows} == {"sim.cold", "sim.steady"}
         assert sum(row[3] for row in rows) == pytest.approx(100.0, abs=0.5)
-
-    def test_disabled_hub_records_no_phases(self):
-        tele = Telemetry.disabled()
-        with tele.phase("p"):
-            pass
-        assert tele.phases == {}
 
     def test_phase_exception_still_recorded(self):
         tele = Telemetry()

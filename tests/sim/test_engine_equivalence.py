@@ -135,7 +135,7 @@ def run_mode(
         overhead_cycles=overhead_cycles,
     )
     stats = engine.run([plan] * trips)
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         machine.collect_spatial()
     return stats, engine.observations
 

@@ -138,12 +138,3 @@ class TestStatsPlumbing:
         assert stats.llc_accesses == 20
         assert stats.dram_accesses == 20
         assert stats.network_packets > 0
-
-    def test_reset(self):
-        m = make_machine()
-        m.access(core=0, vaddr=0, is_write=False, time=0)
-        m.reset()
-        stats = RunStats()
-        m.fill_stats(stats)
-        assert stats.l1_accesses == 0
-        assert stats.network_packets == 0

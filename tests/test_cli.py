@@ -77,7 +77,14 @@ class TestCommands:
     def test_run_small(self, capsys):
         assert main(["run", "mxm", "--scale", "0.25"]) == 0
         out = capsys.readouterr().out
-        assert "execution cycles" in out
+        header = next(
+            line for line in out.splitlines() if line.startswith("benchmark")
+        )
+        assert header.split() == [
+            "benchmark", "cycles", "net_latency", "avg_hops", "l1_hit_rate",
+            "llc_miss_rate", "overhead_pct",
+        ]
+        assert "mxm[default]" in out
 
     def test_compare_small(self, capsys):
         assert main(
@@ -183,7 +190,7 @@ class TestAnalyzeCommand:
     def test_run_gate_flag(self, capsys):
         assert main(["run", "mxm", "--scale", "0.25", "--gate"]) == 0
         out = capsys.readouterr().out
-        assert "execution cycles" in out
+        assert "mxm[default]" in out
 
 
 class TestFaultsCommand:
@@ -275,8 +282,34 @@ class TestFaultsCommand:
             "--fault", "mc:1:throttle=0.5",
         ]) == 0
         out = capsys.readouterr().out
-        assert "faults:" in out
-        assert "execution cycles" in out
+        assert "faults: mc:1:throttle=0.5 (aware mapping)" in out
+        assert "mxm[la]" in out
+
+
+class TestRunOnePath:
+    ARGV = ["run", "mxm", "--mapping", "la", "--scale", "0.25"]
+
+    def test_execution_options_leave_the_row_unchanged(
+        self, capsys, tmp_path
+    ):
+        """Workers, tracing and the result cache change how the cells
+        run, never what they compute; one app also writes --json."""
+        import json as json_mod
+
+        def row(*extra):
+            assert main(self.ARGV + list(extra)) == 0
+            out = capsys.readouterr().out
+            return next(
+                line for line in out.splitlines() if line.startswith("mxm[la]")
+            )
+
+        plain = row()
+        assert row("--workers", "2") == plain
+        assert row("--trace", str(tmp_path / "run.trace.json")) == plain
+        assert row("--cache-dir", str(tmp_path / "cache")) == plain
+        summary = tmp_path / "summary.json"
+        assert row("--json", str(summary)) == plain
+        assert json_mod.loads(summary.read_text())["cells"] == 1
 
 
 class TestObservabilityParser:
@@ -313,11 +346,9 @@ class TestObservabilityParser:
     def test_profile_json_and_workers(self):
         args = build_parser().parse_args(["profile", "mxm", "--json"])
         assert args.json is True
-        assert args.workers == 1
-        args = build_parser().parse_args(
-            ["profile", "mxm", "--workers", "4"]
-        )
-        assert args.workers == 4
+        # profile runs in process only; sweeps take --workers through run.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "mxm", "--workers", "4"])
 
 
 class TestTraceCommand:
@@ -466,24 +497,6 @@ class TestProfileJson:
         assert out == json_mod.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert payload["phases"]
         assert payload["stats"]["execution_cycles"] > 0
-
-    def test_profile_workers_shows_worker_phases(self, capsys):
-        assert main(
-            ["profile", "mxm", "--scale", "0.25", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "merged worker phase profile" in out
-        assert "worker pids:" in out
-
-    def test_profile_workers_json(self, capsys):
-        import json as json_mod
-
-        assert main(["profile", "mxm", "--scale", "0.25",
-                     "--workers", "2", "--json"]) == 0
-        payload = json_mod.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.profile/1"
-        assert payload["workers"] == 2
-        assert payload["phases"]
 
 
 def documented_command_lines():
