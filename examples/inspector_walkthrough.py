@@ -40,19 +40,19 @@ def main() -> None:
                         scale=scale)
     opt = run_workload(workload, DEFAULT_CONFIG, mapping="la", scale=scale,
                        observe=True)
-    report = opt.inspector_report
+    compiled = opt.compiled
 
     print("what the inspector learned (3 sample iteration sets):")
-    items = sorted(report.affinities.items())
+    items = sorted(compiled.affinities.items())
     for (nest, set_id), affinity in [items[0], items[len(items) // 2],
                                      items[-1]]:
         print(f"  nest {nest}, set {set_id}: "
               f"MAI={np.round(affinity.mai, 2)} alpha={affinity.alpha:.2f}")
     print()
-    print(f"inspector overhead: {report.overhead_cycles:,} cycles "
+    print(f"inspector overhead: {compiled.overhead_cycles:,} cycles "
           f"({100 * opt.stats.overhead_fraction:.2f}% of execution)")
     print(f"sets moved by load balancing: "
-          f"{100 * report.avg_moved_fraction:.1f}%")
+          f"{100 * compiled.avg_moved_fraction:.1f}%")
     print()
 
     b, o = base.stats, opt.stats

@@ -19,13 +19,7 @@ from .analysis import (
     mai_error,
 )
 from .balance import BalanceResult, balance_regions, is_balanced, region_loads
-from .inspector import (
-    EXECUTE_LABEL,
-    INSPECT_LABEL,
-    InspectorCost,
-    InspectorExecutor,
-    InspectorReport,
-)
+from .inspector import INSPECT_LABEL, InspectorCost, observed_affinity
 from .mapping import (
     Mapper,
     PlacementStrategy,
@@ -64,11 +58,9 @@ __all__ = [
     "balance_regions",
     "is_balanced",
     "region_loads",
-    "EXECUTE_LABEL",
     "INSPECT_LABEL",
     "InspectorCost",
-    "InspectorExecutor",
-    "InspectorReport",
+    "observed_affinity",
     "Mapper",
     "PlacementStrategy",
     "Schedule",

@@ -11,12 +11,14 @@ architecture description and produces, per parallel loop nest:
 
 This is the *regular-application* path: everything happens "at compile
 time" against the compiler-visible virtual addresses.  Irregular programs
-go through :mod:`repro.core.inspector` instead, which builds the same
-artifacts from runtime observation.
+take ``LocationAwareCompiler.compile_observed`` instead: the inspector trip's
+observations (:mod:`repro.core.inspector`) replace steps 1-3 and feed the
+same mapping step.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -29,10 +31,13 @@ from repro.ir.dependence import validate_parallelism
 from repro.ir.iterspace import IterationSet, partition_iteration_sets
 from repro.ir.loops import ProgramInstance
 from repro.sim.config import SystemConfig
+from repro.sim.engine import ObservedSet
 
 from .analysis import ArchitectureView, build_set_affinity
+from .inspector import InspectorCost, observed_affinity
 from .mapping import (
     FAULT_CANDIDATE_MARGIN_ESTIMATED,
+    FAULT_CANDIDATE_MARGIN_OBSERVED,
     Mapper,
     PlacementStrategy,
     ProximityTables,
@@ -56,12 +61,27 @@ can never be replayed as current ones.
 
 @dataclass
 class CompiledSchedule:
-    """Everything the compiler emits for one program instance."""
+    """Everything the compiler emits for one program instance.
+
+    ``iteration_sets`` is empty for an observed compile: the inspector
+    trip ran over sets the engine's trace had already partitioned.
+    ``overhead_cycles`` is the inspector's runtime charge (0 when every
+    affinity was estimated at compile time).
+    """
 
     iteration_sets: Dict[int, List[IterationSet]]
     schedules: Dict[int, Dict[int, int]]
     affinities: Dict[Tuple[int, int], SetAffinity] = field(default_factory=dict)
     moved_fractions: Dict[int, float] = field(default_factory=dict)
+    overhead_cycles: int = 0
+
+    def add_nest(
+        self, nest_index: int, affinities: List[SetAffinity], schedule: Schedule
+    ) -> None:
+        for affinity in affinities:
+            self.affinities[(nest_index, affinity.set_id)] = affinity
+        self.schedules[nest_index] = schedule.set_to_core
+        self.moved_fractions[nest_index] = schedule.moved_fraction
 
     @property
     def avg_moved_fraction(self) -> float:
@@ -189,7 +209,6 @@ class LocationAwareCompiler:
         # bit, but never regress below it.
         self.oblivious_view = None
         self.oblivious_mapper = None
-        self._oblivious_affinities: Dict[Tuple[int, int], SetAffinity] = {}
         if degraded is not None:
             self.oblivious_view = ArchitectureView(
                 partition=self.partition,
@@ -257,6 +276,11 @@ class LocationAwareCompiler:
             dom.size, set_fraction=self.iteration_set_fraction
         )
 
+    def _phase(self, name: str):
+        if self.telemetry is None:
+            return nullcontext()
+        return self.telemetry.phase(name)
+
     def compile(self, instance: ProgramInstance) -> CompiledSchedule:
         """Run the full Figure 4 flow over every parallel nest."""
         if self.analyze_gate:
@@ -271,43 +295,84 @@ class LocationAwareCompiler:
                 validate_parallelism(nest)
             sets = self.partition_nest(instance, nest_index)
             result.iteration_sets[nest_index] = sets
-            if self.telemetry is not None:
-                with self.telemetry.phase("analyze"):
-                    affinities = self._analyze_nest(instance, nest_index, sets)
-            else:
-                affinities = self._analyze_nest(instance, nest_index, sets)
+            with self._phase("analyze"):
+                affinities, oblivious = self._analyze_nest(
+                    instance, nest_index, sets
+                )
             if self.analyze_gate:
                 self._gate_affinities(instance, nest_index, affinities)
-            for affinity in affinities:
-                result.affinities[(nest_index, affinity.set_id)] = affinity
-            if self.telemetry is not None:
-                with self.telemetry.phase("assign"):
-                    schedule = self._assign_nest(nest_index, affinities)
-            else:
-                schedule = self._assign_nest(nest_index, affinities)
-            result.schedules[nest_index] = schedule.set_to_core
-            result.moved_fractions[nest_index] = schedule.moved_fraction
+            with self._phase("assign"):
+                schedule = self._assign_nest(
+                    nest_index, affinities, oblivious,
+                    FAULT_CANDIDATE_MARGIN_ESTIMATED,
+                )
+            result.add_nest(nest_index, affinities, schedule)
+        return result
+
+    def compile_observed(
+        self,
+        observations: Dict[Tuple[int, int], ObservedSet],
+        base_schedules: Dict[int, Dict[int, int]],
+        cost: Optional[InspectorCost] = None,
+    ) -> CompiledSchedule:
+        """Map an irregular program from its inspector trip (Section 4).
+
+        ``observations`` is the engine's table recorded under
+        ``INSPECT_LABEL`` while ``base_schedules`` ran.  Each entry folds
+        into exact MAI / CAI / alpha, and every nest takes the same mapping
+        step as :meth:`compile`; both fault arms share the one observed
+        affinity set, since the inspector saw the actual (degraded)
+        machine.  A nest whose accesses all hit in L1 left no observations
+        and keeps its ``base_schedules`` (round-robin) entry.  The
+        inspector's bookkeeping is priced by ``cost`` (default
+        :class:`InspectorCost`) into ``overhead_cycles``.
+        """
+        bank_region = None
+        if self.config.llc_organization is LLCOrganization.SHARED:
+            bank_region = self.view.bank_region_table()
+        by_nest: Dict[int, List[SetAffinity]] = {}
+        for (nest_index, set_id), entry in sorted(observations.items()):
+            by_nest.setdefault(nest_index, []).append(
+                observed_affinity(set_id, entry, bank_region)
+            )
+        result = CompiledSchedule(iteration_sets={}, schedules={})
+        for nest_index, affinities in by_nest.items():
+            schedule = self._assign_nest(
+                nest_index, affinities, affinities,
+                FAULT_CANDIDATE_MARGIN_OBSERVED,
+            )
+            result.add_nest(nest_index, affinities, schedule)
+        for nest_index, base in base_schedules.items():
+            result.schedules.setdefault(nest_index, base)
+        result.overhead_cycles = (cost or InspectorCost()).total_cycles(
+            recorded_accesses=sum(
+                entry.llc_accesses for entry in observations.values()
+            ),
+            num_sets=len(result.affinities),
+            num_cores=self.partition.mesh.num_nodes,
+        )
         return result
 
     def _assign_nest(
-        self, nest_index: int, affinities: List[SetAffinity]
+        self,
+        nest_index: int,
+        affinities: List[SetAffinity],
+        oblivious_affinities: Optional[List[SetAffinity]],
+        margin: float,
     ) -> Schedule:
         """Map one nest; under faults, race the aware and oblivious arms.
 
         The oblivious arm reruns the mapper exactly as a
-        ``fault_aware=False`` compile would (pristine view, pristine
-        tables), so falling back to it reproduces the fault-blind
-        schedule verbatim.  Both candidates are priced by effective
-        post-fault distances and the cheaper wins, the oblivious one on
-        ties: fault-awareness never predicts worse than fault-blindness.
+        ``fault_aware=False`` compile would (pristine tables, and for
+        estimates the pristine view's ``oblivious_affinities``), so
+        falling back to it reproduces the fault-blind schedule verbatim.
+        Both candidates are priced by effective post-fault distances over
+        ``affinities``; the aware one must be cheaper by ``margin`` to
+        win: fault-awareness never predicts worse than fault-blindness.
         """
         schedule = self.mapper.assign(affinities, nest_index=nest_index)
         if self.oblivious_mapper is None:
             return schedule
-        oblivious_affinities = [
-            self._oblivious_affinities[(nest_index, a.set_id)]
-            for a in affinities
-        ]
         oblivious = self.oblivious_mapper.assign(
             oblivious_affinities, nest_index=nest_index
         )
@@ -317,11 +382,10 @@ class LocationAwareCompiler:
         cost_oblivious = self.mapper.predicted_cost(
             oblivious.set_to_region, affinities
         )
-        chose_aware = cost_aware < cost_oblivious * (
-            1.0 - FAULT_CANDIDATE_MARGIN_ESTIMATED
-        )
-        if self.telemetry is not None:
-            self.telemetry.events.emit(
+        chose_aware = cost_aware < cost_oblivious * (1.0 - margin)
+        events = self.mapper.events
+        if events is not None and events.enabled:
+            events.emit(
                 "mapper.fault_candidates",
                 nest=nest_index,
                 cost_aware=round(cost_aware, 6),
@@ -369,31 +433,37 @@ class LocationAwareCompiler:
         instance: ProgramInstance,
         nest_index: int,
         sets: List[IterationSet],
-    ) -> List[SetAffinity]:
-        # One estimator pass per nest, shared by both machine views.  The
-        # estimator is a pure function of (instance, nest, sets, params):
-        # its sampling RNGs are string-seeded per (nest, set), so call
-        # order and call count cannot desynchronize anything -- which is
-        # also what makes its output safely memoizable (repro.compile).
-        if self.compile_cache is not None:
-            return self._analyze_nest_cached(instance, nest_index, sets)
-        estimates = self.estimator.estimate_nest(instance, nest_index, sets)
-        affinities = self._affinities_from(sets, estimates, self.view)
-        if self.oblivious_view is not None:
-            for affinity in self._affinities_from(
-                sets, estimates, self.oblivious_view
-            ):
-                key = (nest_index, affinity.set_id)
-                self._oblivious_affinities[key] = affinity
-        return affinities
+    ) -> Tuple[List[SetAffinity], Optional[List[SetAffinity]]]:
+        """One nest's affinities under the compiler's view, plus under the
+        pristine view when the oblivious arm races it (else None).
 
-    def _analyze_nest_cached(
+        One estimator pass per nest, shared by both machine views.  The
+        estimator is a pure function of (instance, nest, sets, params):
+        its sampling RNGs are string-seeded per (nest, set), so call order
+        and call count cannot desynchronize anything -- which is also what
+        makes its output safely memoizable (repro.compile).
+        """
+        if self.compile_cache is not None:
+            affinities_for = self._cached_affinities(instance, nest_index, sets)
+        else:
+            estimates = self.estimator.estimate_nest(instance, nest_index, sets)
+
+            def affinities_for(view: ArchitectureView) -> List[SetAffinity]:
+                return self._affinities_from(sets, estimates, view)
+
+        affinities = affinities_for(self.view)
+        oblivious = None
+        if self.oblivious_view is not None:
+            oblivious = affinities_for(self.oblivious_view)
+        return affinities, oblivious
+
+    def _cached_affinities(
         self,
         instance: ProgramInstance,
         nest_index: int,
         sets: List[IterationSet],
-    ) -> List[SetAffinity]:
-        """The memoized twin of the inline branch above.
+    ):
+        """The memoized twin of the inline ``affinities_for`` above.
 
         Affinity vectors are cached per (estimates material, view); when
         every view hits, the CME pass is skipped entirely.  On a miss the
@@ -439,12 +509,7 @@ class LocationAwareCompiler:
             )
             return decode_affinities(payload)
 
-        affinities = affinities_for(self.view)
-        if self.oblivious_view is not None:
-            for affinity in affinities_for(self.oblivious_view):
-                key = (nest_index, affinity.set_id)
-                self._oblivious_affinities[key] = affinity
-        return affinities
+        return affinities_for
 
     def _affinities_from(
         self,

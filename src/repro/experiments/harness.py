@@ -40,12 +40,7 @@ from repro.baselines.hardware import hardware_schedules
 from repro.baselines.layout import build_layout_remap
 from repro.cme.equations import CacheMissEstimator
 from repro.core.analysis import mai_error
-from repro.core.inspector import (
-    EXECUTE_LABEL,
-    INSPECT_LABEL,
-    InspectorCost,
-    InspectorReport,
-)
+from repro.core.inspector import INSPECT_LABEL, InspectorCost, observed_affinity
 from repro.core.pipeline import CompiledSchedule, LocationAwareCompiler
 from repro.obs import Telemetry, build_manifest
 from repro.sim.config import SystemConfig
@@ -72,56 +67,55 @@ class RunResult:
 
     stats: RunStats
     compiled: Optional[CompiledSchedule] = None
-    inspector_report: Optional[InspectorReport] = None
     engine: Optional[ExecutionEngine] = None
-    moved_fraction: float = 0.0
+
+    @property
+    def moved_fraction(self) -> float:
+        if self.compiled is None:
+            return 0.0
+        return self.compiled.avg_moved_fraction
+
+    def _predicted_and_observed(self, bank_region=None):
+        """(mapped, steady-trip observed) affinity of every set the steady
+        trip observed.
+
+        The mapped affinities are compile-time estimates for regular codes
+        and inspector-trip observations for irregular ones.  Sorted
+        reduction: the affinity dict's insertion order depends on how the
+        schedule was derived; error lists must not (float aggregation is
+        order-sensitive, and the parallel sweep executor compares them
+        field-identically across run orders).
+        """
+        if self.compiled is None or self.engine is None:
+            return []
+        table = self.engine.observations.get(OBSERVE_RUN, {})
+        return [
+            (affinity, observed_affinity(key[1], table[key], bank_region))
+            for key, affinity in sorted(self.compiled.affinities.items())
+            if key in table
+        ]
 
     def mai_errors(self) -> List[float]:
-        """Per-set eta between predicted and observed MAI.
-
-        Regular codes: compile-time prediction vs the steady-trip
-        observation.  Irregular codes: inspector-trip MAI vs executor-trip
-        observation.
-        """
-        if self.engine is None:
-            return []
-        errors: List[float] = []
-        if self.compiled is not None:
-            source, label = self.compiled.affinities, OBSERVE_RUN
-        elif self.inspector_report is not None:
-            source, label = self.inspector_report.affinities, EXECUTE_LABEL
-        else:
-            return []
-        # Sorted reduction: the affinity dict's insertion order depends on
-        # how the schedule was derived; error lists must not (float
-        # aggregation is order-sensitive, and the parallel sweep executor
-        # compares them field-identically across run orders).
-        for (nest, set_id), affinity in sorted(source.items()):
-            observed = self.engine.observed_mai(label, nest, set_id)
-            if observed is not None and observed.sum() > 0:
-                errors.append(mai_error(affinity.mai, observed))
-        return errors
+        """Per-set eta between the mapped and the steady-trip MAI."""
+        return [
+            mai_error(mapped.mai, observed.mai)
+            for mapped, observed in self._predicted_and_observed()
+            if observed.mai.sum() > 0
+        ]
 
     def cai_errors(self, region_of_node) -> List[float]:
-        """Per-set eta between predicted and observed CAI (shared LLC)."""
+        """Per-set eta between mapped and observed CAI (shared LLC)."""
         if self.engine is None:
             return []
-        if self.compiled is not None:
-            source, label = self.compiled.affinities, OBSERVE_RUN
-        elif self.inspector_report is not None:
-            source, label = self.inspector_report.affinities, EXECUTE_LABEL
-        else:
-            return []
-        errors: List[float] = []
-        for (nest, set_id), affinity in sorted(source.items()):
-            if affinity.cai is None:
-                continue
-            observed = self.engine.observed_cai_regions(
-                label, nest, set_id, region_of_node
-            )
-            if observed is not None and observed.sum() > 0:
-                errors.append(mai_error(affinity.cai, observed))
-        return errors
+        bank_region = [
+            region_of_node(node)
+            for node in range(self.engine.machine.mesh.num_nodes)
+        ]
+        return [
+            mai_error(mapped.cai, observed.cai)
+            for mapped, observed in self._predicted_and_observed(bank_region)
+            if mapped.cai is not None and observed.cai.sum() > 0
+        ]
 
 
 @dataclass
@@ -269,8 +263,6 @@ def run_workload(
 
     wants_la = mapping in ("la", "la+do")
     compiled: Optional[CompiledSchedule] = None
-    report: Optional[InspectorReport] = None
-    moved = 0.0
 
     if not wants_la or workload.regular:
         # Single-schedule runs: cold trip, then a steady trip we measure.
@@ -285,7 +277,6 @@ def run_workload(
                 )
                 compiled = compiler.compile(instance)
             schedules = compiled.schedules
-            moved = compiled.avg_moved_fraction
         elif mapping == "hardware":
             estimator = CacheMissEstimator(
                 llc_size_bytes=config.l2_size_bytes,
@@ -311,39 +302,32 @@ def run_workload(
     else:
         # Irregular location-aware: inspector trip (default schedule,
         # observed), migration trip, steady trip.
-        from repro.core.inspector import InspectorExecutor
-
         with _timed("compile"):
             compiler = _build_compiler(
                 config, cme_accuracy, set_fraction, seed, compiler_kwargs,
                 telemetry=telemetry, fault_plan=fault_plan,
                 fault_aware=fault_aware, compile_cache=compile_cache,
             )
-        inspector = InspectorExecutor(
-            engine=engine,
-            mapper=compiler.mapper,
-            region_of_node=compiler.partition.region_of_node,
-            cost=inspector_cost,
-            oblivious_mapper=compiler.oblivious_mapper,
-        )
         inspect_end = run_phase(
             base_schedules, label=INSPECT_LABEL, phase="sim.inspect"
         )
         with _timed("compile"):
-            report = inspector.derive(base_schedules)
-        moved = report.avg_moved_fraction
+            compiled = compiler.compile_observed(
+                engine.observations.get(INSPECT_LABEL, {}), base_schedules,
+                cost=inspector_cost,
+            )
         migrate_end = run_phase(
-            report.schedules, start=inspect_end,
-            overhead=report.overhead_cycles, phase="sim.migrate",
+            compiled.schedules, start=inspect_end,
+            overhead=compiled.overhead_cycles, phase="sim.migrate",
         )
         snap = _NetSnapshot.of(machine)
         steady_end = run_phase(
-            report.schedules, label=EXECUTE_LABEL, start=migrate_end,
+            compiled.schedules, label=OBSERVE_RUN, start=migrate_end,
             phase="sim.steady",
         )
         steady = steady_end - migrate_end
         snap.diff_into(machine, stats)
-        stats.overhead_cycles = report.overhead_cycles
+        stats.overhead_cycles = compiled.overhead_cycles
         stats.execution_cycles = migrate_end + (modeled_trips - 2) * steady
 
     machine_stats = RunStats()
@@ -393,9 +377,7 @@ def run_workload(
     return RunResult(
         stats=stats,
         compiled=compiled,
-        inspector_report=report,
         engine=engine,
-        moved_fraction=moved,
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.baselines.default import default_schedules, partition_all_nests
-from repro.core.inspector import INSPECT_LABEL, InspectorExecutor
+from repro.core.inspector import INSPECT_LABEL
 from repro.core.pipeline import LocationAwareCompiler
 from repro.sim.config import SystemConfig
 from repro.sim.engine import ExecutionEngine, TripPlan
@@ -58,14 +58,12 @@ def _schedules_for(
     compiler = LocationAwareCompiler(config, cme_accuracy=cme_accuracy, seed=seed)
     if workload.regular:
         return compiler.compile(instance).schedules
-    # Irregular: observe one trip on a scratch machine, derive the schedule.
-    scratch = Manycore(config)
-    engine = ExecutionEngine(scratch, trace)
-    inspector = InspectorExecutor(
-        engine, compiler.mapper, compiler.partition.region_of_node
-    )
+    # Irregular: observe one trip on a scratch machine, map what it saw.
+    engine = ExecutionEngine(Manycore(config), trace)
     engine.run([TripPlan(schedules=base, observe_label=INSPECT_LABEL)])
-    return inspector.derive(base).schedules
+    return compiler.compile_observed(
+        engine.observations.get(INSPECT_LABEL, {}), base
+    ).schedules
 
 
 def run_multiprogrammed(

@@ -37,12 +37,6 @@ class ObservedSet:
     llc_hits: int = 0
     llc_accesses: int = 0
 
-    @property
-    def hit_fraction(self) -> float:
-        if self.llc_accesses == 0:
-            return 0.0
-        return self.llc_hits / self.llc_accesses
-
     def record(self, mc: int, bank: int) -> None:
         """Count one L1 miss: served off-chip by ``mc``, or (``mc`` < 0)
         on chip by home ``bank``."""
@@ -59,8 +53,9 @@ class TripPlan:
     """Schedule (and instrumentation) of one timing-loop trip.
 
     ``observe_label`` turns on per-set observation recording for this trip;
-    trips sharing a label accumulate into the same table, so the inspector
-    trip and the executor trips can be compared afterwards.
+    trips sharing a label accumulate into the same table.  The engine only
+    records: :func:`repro.core.inspector.observed_affinity` turns an
+    entry into MAI / CAI / alpha.
     """
 
     schedules: Dict[int, Dict[int, int]]
@@ -393,33 +388,3 @@ class ExecutionEngine:
             )
             table[key] = entry
         return entry
-
-    # ------------------------------------------------------------------
-    def observed_mai(
-        self, label: str, nest_index: int, set_id: int
-    ) -> Optional[np.ndarray]:
-        """Normalized observed MAI of one set (None if never observed)."""
-        entry = self.observations.get(label, {}).get((nest_index, set_id))
-        if entry is None:
-            return None
-        total = entry.miss_mc.sum()
-        if total == 0:
-            return np.zeros_like(entry.miss_mc, dtype=float)
-        return entry.miss_mc / total
-
-    def observed_cai_regions(
-        self, label: str, nest_index: int, set_id: int, region_of_node
-    ) -> Optional[np.ndarray]:
-        """Observed CAI folded onto regions via ``region_of_node``."""
-        entry = self.observations.get(label, {}).get((nest_index, set_id))
-        if entry is None:
-            return None
-        num_regions = max(
-            region_of_node(n) for n in range(len(entry.hit_bank))
-        ) + 1
-        counts = np.zeros(num_regions, dtype=float)
-        for node, count in enumerate(entry.hit_bank):
-            if count:
-                counts[region_of_node(node)] += count
-        total = counts.sum()
-        return counts / total if total else counts

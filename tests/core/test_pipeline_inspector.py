@@ -1,13 +1,9 @@
-"""End-to-end compiler pipeline and inspector-executor."""
+"""End-to-end compiler pipeline: compile-time and inspector-observed."""
 
 import pytest
 
 from repro.baselines.default import default_schedules, partition_all_nests
-from repro.core.inspector import (
-    INSPECT_LABEL,
-    InspectorCost,
-    InspectorExecutor,
-)
+from repro.core.inspector import INSPECT_LABEL, InspectorCost
 from repro.core.pipeline import LocationAwareCompiler
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.engine import ExecutionEngine, TripPlan
@@ -74,8 +70,8 @@ class TestCompilerPipeline:
 class TestInspectorExecutor:
     def build(self, name="nbf", scale=0.25, config=DEFAULT_CONFIG,
               inspect=True):
-        """An inspector over a fresh machine; with ``inspect`` the engine
-        has already run the observed inspector trip."""
+        """A compiler and engine over a fresh machine; with ``inspect`` the
+        engine has already run the observed inspector trip."""
         workload = build_workload(name)
         instance = workload.instantiate(scale=scale)
         sets = partition_all_nests(
@@ -84,52 +80,56 @@ class TestInspectorExecutor:
         machine = Manycore(config)
         engine = ExecutionEngine(machine, ProgramTrace(instance, sets))
         compiler = LocationAwareCompiler(config)
-        inspector = InspectorExecutor(
-            engine, compiler.mapper, compiler.partition.region_of_node
-        )
         base = default_schedules(instance, sets, 36)
         if inspect:
             engine.run([TripPlan(schedules=base, observe_label=INSPECT_LABEL)])
-        return inspector, engine, base, sets
+        return compiler, engine, base, sets
 
     def test_three_trip_run(self):
-        inspector, engine, base, _ = self.build(inspect=False)
+        compiler, engine, base, _ = self.build(inspect=False)
         inspect_end = engine.run(
             [TripPlan(schedules=base, observe_label=INSPECT_LABEL)]
         ).execution_cycles
-        report = inspector.derive(base)
-        assert report.schedules
-        assert report.overhead_cycles > inspector.cost.fixed_cycles
+        compiled = compiler.compile_observed(
+            engine.observations[INSPECT_LABEL], base
+        )
+        assert compiled.schedules
+        assert compiled.overhead_cycles > InspectorCost().fixed_cycles
         executor = engine.run(
             [
-                TripPlan(schedules=report.schedules,
-                         overhead_cycles=report.overhead_cycles),
-                TripPlan(schedules=report.schedules),
+                TripPlan(schedules=compiled.schedules,
+                         overhead_cycles=compiled.overhead_cycles),
+                TripPlan(schedules=compiled.schedules),
             ],
             start_cycle=inspect_end,
         )
-        assert executor.execution_cycles > inspect_end + report.overhead_cycles
+        assert (executor.execution_cycles
+                > inspect_end + compiled.overhead_cycles)
 
     def test_derived_schedule_covers_all_sets(self):
-        inspector, engine, base, sets = self.build()
-        report = inspector.derive(base)
+        compiler, engine, base, sets = self.build()
+        compiled = compiler.compile_observed(
+            engine.observations[INSPECT_LABEL], base
+        )
         for nest_index, nest_sets in sets.items():
-            observed_ids = set(report.schedules[nest_index])
+            observed_ids = set(compiled.schedules[nest_index])
             # Every set that generated at least one L1 miss is scheduled;
             # in practice that is all of them for this workload.
             assert observed_ids == {s.set_id for s in nest_sets}
 
     def test_unobserved_nests_keep_round_robin(self):
-        inspector, _, base, _ = self.build(inspect=False)
-        report = inspector.derive(base)
-        assert report.schedules == base
-        assert not report.affinities
-        assert report.overhead_cycles == inspector.cost.fixed_cycles
+        compiler, _, base, _ = self.build(inspect=False)
+        compiled = compiler.compile_observed({}, base)
+        assert compiled.schedules == base
+        assert not compiled.affinities
+        assert compiled.overhead_cycles == InspectorCost().fixed_cycles
 
     def test_alpha_from_observation_is_valid(self):
-        inspector, _, base, _ = self.build()
-        report = inspector.derive(base)
-        for affinity in report.affinities.values():
+        compiler, engine, base, _ = self.build()
+        compiled = compiler.compile_observed(
+            engine.observations[INSPECT_LABEL], base
+        )
+        for affinity in compiled.affinities.values():
             assert 0.0 <= affinity.alpha < 1.0
             assert affinity.cai is not None
 

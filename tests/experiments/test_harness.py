@@ -39,7 +39,7 @@ class TestRunWorkload:
             mxm, DEFAULT_CONFIG, mapping="la", scale=0.6, observe=True
         )
         assert result.compiled is not None
-        assert result.inspector_report is None
+        assert result.compiled.overhead_cycles == 0
         errors = result.mai_errors()
         assert errors and all(0.0 <= e <= 0.5 for e in errors)
 
@@ -47,9 +47,9 @@ class TestRunWorkload:
         result = run_workload(
             nbf, DEFAULT_CONFIG, mapping="la", scale=SCALE, observe=True
         )
-        assert result.compiled is None
-        assert result.inspector_report is not None
+        assert result.compiled is not None
         assert result.stats.overhead_cycles > 0
+        assert result.compiled.overhead_cycles == result.stats.overhead_cycles
 
     def test_modeled_trips_extrapolate(self, mxm):
         short = run_workload(mxm, DEFAULT_CONFIG, scale=SCALE, trips=3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.default import default_schedules, partition_all_nests
+from repro.core.inspector import observed_affinity
 from repro.ir.arrays import declare
 from repro.ir.builder import nest_builder
 from repro.ir.loops import Program
@@ -94,16 +95,11 @@ class TestObservations:
     def test_observed_mai_normalized(self):
         engine, schedules, _ = build_engine()
         engine.run([TripPlan(schedules=schedules, observe_label="x")])
-        for (nest, sid) in list(engine.observations["x"])[:10]:
-            mai = engine.observed_mai("x", nest, sid)
+        for (nest, sid), entry in list(engine.observations["x"].items())[:10]:
+            mai = observed_affinity(sid, entry).mai
             assert mai is not None
             total = mai.sum()
             assert total == pytest.approx(1.0) or total == 0.0
-
-    def test_unobserved_returns_none(self):
-        engine, schedules, _ = build_engine()
-        engine.run([TripPlan(schedules=schedules)])
-        assert engine.observed_mai("nope", 0, 0) is None
 
     def test_labels_are_separate(self):
         engine, schedules, _ = build_engine()
