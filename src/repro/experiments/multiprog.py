@@ -91,12 +91,19 @@ def run_multiprogrammed(
     num_cores = machine.mesh.num_nodes
 
     # Build per-application artifacts.  Array spaces are offset per app so
-    # the programs do not share physical data.
+    # the programs do not share physical data: each one is laid out after
+    # the previous ones, page-aligned.
     contexts = []
+    offset = 0
     for k, workload in enumerate(workloads):
         instance = workload.instantiate(
             page_bytes=config.page_bytes, scale=scale
         )
+        space = instance.space
+        for array in instance.program.arrays():
+            space.rebase(array.name, space.base(array.name) + offset)
+        pages = -(-space.total_bytes() // space.page_bytes)  # ceil
+        offset += pages * space.page_bytes
         iteration_sets = partition_all_nests(
             instance, set_fraction=config.iteration_set_fraction
         )

@@ -98,7 +98,8 @@ class ArraySpace:
         return base
 
     def rebase(self, array_name: str, new_base: int) -> None:
-        """Move an array (used by the data-layout-optimization baseline)."""
+        """Move an array (co-scheduled programs are laid out one after
+        another, :mod:`repro.experiments.multiprog`)."""
         if array_name not in self._bases:
             raise KeyError(f"array {array_name} not placed")
         self._bases[array_name] = self._align(new_base)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import multiprog
 from repro.experiments.multiprog import (
     MultiProgramResult,
     run_multiprogrammed,
@@ -51,3 +52,27 @@ class TestRunMultiprogrammed:
             bundle, DEFAULT_CONFIG, mapping="la", scale=0.25
         )
         assert result.makespan > 0
+
+    def test_programs_touch_disjoint_addresses(self, bundle, monkeypatch):
+        """Co-scheduled programs share the machine, not their data."""
+        program_trace = multiprog.ProgramTrace
+        traces = []
+
+        def recording_trace(instance, iteration_sets):
+            traces.append(program_trace(instance, iteration_sets))
+            return traces[-1]
+
+        monkeypatch.setattr(multiprog, "ProgramTrace", recording_trace)
+        run_multiprogrammed(bundle, DEFAULT_CONFIG, scale=0.2)
+        touched = [
+            {
+                int(address)
+                for nest, sets in trace.iteration_sets.items()
+                for iteration_set in sets
+                for address in trace.set_trace(nest, iteration_set).flat_addresses
+            }
+            for trace in traces
+        ]
+        assert len(touched) == 2
+        assert touched[0] and touched[1]
+        assert not touched[0] & touched[1]
