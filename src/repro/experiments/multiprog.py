@@ -31,6 +31,8 @@ from repro.workloads.base import Workload
 
 from .harness import DEFAULT_CME_ACCURACY, DEFAULT_SEED
 
+MULTIPROG_MAPPINGS = ("default", "la")
+
 
 @dataclass
 class MultiProgramResult:
@@ -79,6 +81,7 @@ def run_multiprogrammed(
     All applications start together; each executes its own nest sequence
     (with per-application barriers) while sharing the network, the caches
     and the memory controllers.  Returns the bundle's makespan.
+    ``mapping`` is ``"default"`` (round-robin) or ``"la"``.
 
     ``seed`` parameterizes each application's compiler artifacts, so a
     bundle is fully determined by (workloads, config, mapping, scale,
@@ -87,6 +90,11 @@ def run_multiprogrammed(
     """
     if not workloads:
         raise ValueError("need at least one workload")
+    if mapping not in MULTIPROG_MAPPINGS:
+        raise ValueError(
+            f"unknown multiprogrammed mapping {mapping!r}; one of "
+            f"{MULTIPROG_MAPPINGS}"
+        )
     machine = Manycore(config)
     num_cores = machine.mesh.num_nodes
 

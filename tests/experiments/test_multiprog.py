@@ -46,6 +46,14 @@ class TestRunMultiprogrammed:
         with pytest.raises(ValueError):
             run_multiprogrammed([], DEFAULT_CONFIG)
 
+    @pytest.mark.parametrize("mapping", ["hardware", "do", "la+do", "magic"])
+    def test_unsupported_mapping_rejected(self, bundle, mapping):
+        """Only round-robin and LA exist here; anything else must not
+        silently report LA's makespan."""
+        with pytest.raises(ValueError, match="'default', 'la'"):
+            run_multiprogrammed(bundle, DEFAULT_CONFIG, mapping=mapping,
+                                scale=0.25)
+
     def test_irregular_member_supported(self):
         bundle = [build_workload("mxm"), build_workload("nbf")]
         result = run_multiprogrammed(
