@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import PIPELINE_VERSION
-from repro.experiments.harness import DEFAULT_SEED
+from repro.experiments.harness import DEFAULT_CME_ACCURACY, DEFAULT_SEED
 from repro.obs.manifest import _normalize, sweep_cache_key
 from repro.obs.tracing import TraceContext
 from repro.sim.config import SystemConfig
@@ -79,7 +79,7 @@ class SweepCell:
     mapping: str = "default"
     scale: float = 1.0
     trips: Optional[int] = None
-    cme_accuracy: float = 0.85
+    cme_accuracy: float = DEFAULT_CME_ACCURACY
     observe: bool = False
     collect_obs: bool = False
     seed: int = DEFAULT_SEED

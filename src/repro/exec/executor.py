@@ -291,7 +291,7 @@ def sweep_table(result: SweepResult, title: str = "sweep results") -> str:
     One row per cell: cycles as integers, average network latency, average
     hops, L1 hit and LLC miss rates, and the runtime overhead (inspector
     cycles) in percent of execution time.  Rows are sorted by cell label
-    (see ``app_metric_table(sort_rows=True)``): the rendered bytes -- and
+    (as ``app_metric_table`` always sorts): the rendered bytes -- and
     hence any golden-snapshot hash of them -- are identical however the
     sweep was sharded or replayed.
     """
@@ -320,7 +320,6 @@ def sweep_table(result: SweepResult, title: str = "sweep results") -> str:
         per_cell,
         ["cycles", "net_latency", "avg_hops", "l1_hit_rate",
          "llc_miss_rate", "overhead_pct"],
-        sort_rows=True,
     )
 
 

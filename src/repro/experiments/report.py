@@ -55,31 +55,20 @@ def app_metric_table(
     title: str,
     per_app: Mapping[str, Mapping[str, object]],
     metrics: Sequence[str],
-    summary_row: Optional[Mapping[str, float]] = None,
-    sort_rows: bool = False,
 ) -> str:
     """Table with one row per application and one column per metric.
 
     Float values render at one decimal; pass strings to choose another
-    precision per column.
-
-    ``sort_rows=True`` orders rows by application name instead of by dict
-    insertion order.  Results assembled from a parallel sweep arrive in
-    completion order, which varies run to run; sorted rows make the
-    rendered table (and its golden-snapshot hash) order-independent.
-    The figure tables keep insertion order: the paper lists applications
-    in Figure 7/8 order, not alphabetically.
+    precision per column.  Rows are ordered by application name: results
+    assembled from a parallel sweep arrive in completion order, which
+    varies run to run, and sorted rows make the rendered table (and its
+    golden-snapshot hash) order-independent.
     """
     headers = ["benchmark"] + list(metrics)
-    apps = sorted(per_app) if sort_rows else list(per_app)
     rows = [
         [app] + [per_app[app].get(metric, float("nan")) for metric in metrics]
-        for app in apps
+        for app in sorted(per_app)
     ]
-    if summary_row is not None:
-        rows.append(
-            ["GEOMEAN"] + [summary_row.get(m, float("nan")) for m in metrics]
-        )
     return format_table(headers, rows, title=title)
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Set
 
+from repro.experiments.harness import DEFAULT_CME_ACCURACY
+
 from .spec import FuzzCase
 
 CheckFn = Callable[[FuzzCase], Optional[str]]
@@ -54,7 +56,7 @@ def _minimal_jump(case: FuzzCase) -> FuzzCase:
         page_bytes=2048, l2_size_bytes=16384,
         mc_granularity="page", bank_granularity="page", dram="ddr3",
         iteration_set_fraction=0.01, mapping="default", trips=3,
-        cme_accuracy=0.85, workload=_MINIMAL_WORKLOAD, faults=(),
+        cme_accuracy=DEFAULT_CME_ACCURACY, workload=_MINIMAL_WORKLOAD, faults=(),
     )
 
 
@@ -126,8 +128,8 @@ def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
         yield case.with_updates(dram="ddr3")
     if case.iteration_set_fraction != 0.01:
         yield case.with_updates(iteration_set_fraction=0.01)
-    if case.cme_accuracy != 0.85:
-        yield case.with_updates(cme_accuracy=0.85)
+    if case.cme_accuracy != DEFAULT_CME_ACCURACY:
+        yield case.with_updates(cme_accuracy=DEFAULT_CME_ACCURACY)
 
 
 def _is_valid(case: FuzzCase) -> bool:
