@@ -75,7 +75,7 @@ class RunResult:
             return 0.0
         return self.compiled.avg_moved_fraction
 
-    def _predicted_and_observed(self, bank_region=None):
+    def _mapped_and_observed(self, bank_region=None):
         """(mapped, steady-trip observed) affinity of every set the steady
         trip observed.
 
@@ -99,7 +99,7 @@ class RunResult:
         """Per-set eta between the mapped and the steady-trip MAI."""
         return [
             mai_error(mapped.mai, observed.mai)
-            for mapped, observed in self._predicted_and_observed()
+            for mapped, observed in self._mapped_and_observed()
             if observed.mai.sum() > 0
         ]
 
@@ -113,7 +113,7 @@ class RunResult:
         ]
         return [
             mai_error(mapped.cai, observed.cai)
-            for mapped, observed in self._predicted_and_observed(bank_region)
+            for mapped, observed in self._mapped_and_observed(bank_region)
             if mapped.cai is not None and observed.cai.sum() > 0
         ]
 

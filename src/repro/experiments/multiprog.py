@@ -6,12 +6,17 @@ and ~26.7% (shared) average improvements -- larger than single-app runs,
 because the default mapping's scattered traffic from one application
 interferes with the other's.
 
-``run_multiprogrammed`` co-schedules N programs on one machine: each
-application's iteration sets are mapped by its own compiler/inspector
-artifacts, and the engine interleaves all programs' per-core queues on the
-shared network/caches/MCs.  The mapping side uses *core offsetting*: each
-application's schedule is computed on the full mesh and the apps interleave
-on the same cores (the paper's setup runs them concurrently under the OS).
+``run_multiprogrammed`` co-schedules N programs on one machine: under
+``"la"`` each application's iteration sets are mapped by its own compiler
+(``compile`` for regular codes, ``compile_observed`` over one inspector
+trip on a scratch machine for irregular ones), under ``"default"`` they
+stay round-robin; no other mapping applies here.  The engine interleaves
+all programs' per-core queues on the shared network/caches/MCs.  Each
+program's arrays are laid out after the previous program's, so the
+programs share the machine but no data.  The mapping side uses *core
+offsetting*: each application's schedule is computed on the full mesh and
+the apps interleave on the same cores (the paper's setup runs them
+concurrently under the OS).
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ def _schedules_for(
     if workload.regular:
         return compiler.compile(instance).schedules
     # Irregular: observe one trip on a scratch machine, map what it saw.
-    engine = ExecutionEngine(Manycore(config), trace)
+    scratch = Manycore(config)
+    engine = ExecutionEngine(scratch, trace)
     engine.run([TripPlan(schedules=base, observe_label=INSPECT_LABEL)])
     return compiler.compile_observed(
         engine.observations.get(INSPECT_LABEL, {}), base

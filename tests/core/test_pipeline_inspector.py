@@ -1,12 +1,13 @@
 """End-to-end compiler pipeline: compile-time and inspector-observed."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.default import default_schedules, partition_all_nests
-from repro.core.inspector import INSPECT_LABEL, InspectorCost
+from repro.core.inspector import INSPECT_LABEL, InspectorCost, observed_affinity
 from repro.core.pipeline import LocationAwareCompiler
 from repro.sim.config import DEFAULT_CONFIG
-from repro.sim.engine import ExecutionEngine, TripPlan
+from repro.sim.engine import ExecutionEngine, ObservedSet, TripPlan
 from repro.sim.machine import Manycore
 from repro.sim.trace import ProgramTrace
 from repro.workloads import build_workload
@@ -132,6 +133,29 @@ class TestInspectorExecutor:
         for affinity in compiled.affinities.values():
             assert 0.0 <= affinity.alpha < 1.0
             assert affinity.cai is not None
+
+
+class TestObservedAffinity:
+    def test_cai_matches_per_bank_loop(self):
+        """The bincount fold equals summing each bank's hits into its
+        region one by one."""
+        rng = np.random.default_rng(5)
+        entry = ObservedSet(
+            miss_mc=rng.integers(0, 50, size=4),
+            hit_bank=rng.integers(0, 50, size=36) * (rng.random(36) < 0.6),
+        )
+        entry.llc_hits = int(entry.hit_bank.sum())
+        entry.llc_accesses = entry.llc_hits + int(entry.miss_mc.sum())
+        partition = LocationAwareCompiler(DEFAULT_CONFIG).partition
+        bank_region = [partition.region_of_node(n) for n in range(36)]
+        counts = np.zeros(partition.num_regions)
+        for bank, hits in enumerate(entry.hit_bank):
+            if hits:
+                counts[bank_region[bank]] += hits
+        affinity = observed_affinity(7, entry, bank_region)
+        assert np.array_equal(affinity.cai, counts / counts.sum())
+        assert np.array_equal(affinity.mai, entry.miss_mc / entry.miss_mc.sum())
+        assert observed_affinity(7, entry).cai is None
 
 
 class TestInspectorCost:
