@@ -12,7 +12,7 @@ architecture description and produces, per parallel loop nest:
 This is the *regular-application* path: everything happens "at compile
 time" against the compiler-visible virtual addresses.  Irregular programs
 take ``LocationAwareCompiler.compile_observed`` instead: the inspector trip's
-observations (:mod:`repro.core.inspector`) replace steps 1-3 and feed the
+observations (:mod:`repro.core.inspector`) replace steps 2-3 and feed the
 same mapping step.
 """
 

@@ -1,8 +1,8 @@
 """Perf-trajectory records: schema-versioned envelopes + regression watch.
 
 The perf harnesses (``benchmarks/test_perf_*.py``) measure throughput
-claims -- engine speedup, parallel sweep scaling, disabled-telemetry
-overhead.  Before this module they overwrote ``BENCH_*.json`` with bare
+claims -- engine speedup, parallel sweep scaling, compile-cache reuse.
+Before this module they overwrote ``BENCH_*.json`` with bare
 numbers, so the trajectory of those claims across commits was
 unreconstructible.  Now every measured point is wrapped in an envelope::
 

@@ -144,8 +144,7 @@ class Tracer:
 
     ``enabled=False`` builds a no-op tracer (every record path returns
     immediately), mirroring the :class:`~repro.obs.telemetry.Telemetry`
-    cost model: disabled tracing must stay under the existing <2%
-    telemetry overhead guard.
+    cost model: an untraced run pays no recording cost.
     """
 
     def __init__(self, context: TraceContext, enabled: bool = True):

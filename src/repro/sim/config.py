@@ -88,9 +88,10 @@ class SystemConfig:
     # Execution model: fraction of a memory stall hidden by MLP/OoO overlap.
     stall_overlap: float = 0.7
 
-    # Engine implementation: "fast" batches L1-hit detection through numpy
-    # (behaviour-identical to the scalar model, enforced by the differential
-    # suite in tests/sim/test_engine_equivalence.py); "reference" forces the
+    # Engine implementation: "fast" consumes each chunk's L1-hit runs with a
+    # bulk cursor over Python lists (behaviour-identical to the scalar
+    # model, enforced by the differential suite in
+    # tests/sim/test_engine_equivalence.py); "reference" forces the
     # original per-access scalar walk.
     engine_mode: str = "fast"
 
