@@ -19,7 +19,11 @@ from .analysis import (
     mai_error,
 )
 from .balance import BalanceResult, balance_regions, is_balanced, region_loads
-from .inspector import INSPECT_LABEL, InspectorCost, observed_affinity
+from .inspector import (
+    INSPECT_LABEL,
+    InspectorCost,
+    observed_affinity,
+)
 from .mapping import (
     Mapper,
     PlacementStrategy,

@@ -73,7 +73,9 @@ def observed_affinity(
     as CAI and alpha is the observed hit fraction; without it the result
     carries MAI only, as a private-LLC affinity does.
     """
-    mai = affinity_from_counts(entry.miss_mc.astype(float), len(entry.miss_mc))
+    mai = affinity_from_counts(
+        entry.miss_mc.astype(float), len(entry.miss_mc)
+    )
     if bank_region is None:
         return SetAffinity(set_id=set_id, mai=mai)
     region_counts = np.bincount(bank_region, weights=entry.hit_bank)

@@ -40,7 +40,11 @@ from repro.baselines.hardware import hardware_schedules
 from repro.baselines.layout import build_layout_remap
 from repro.cme.equations import CacheMissEstimator
 from repro.core.analysis import mai_error
-from repro.core.inspector import INSPECT_LABEL, InspectorCost, observed_affinity
+from repro.core.inspector import (
+    INSPECT_LABEL,
+    InspectorCost,
+    observed_affinity,
+)
 from repro.core.pipeline import CompiledSchedule, LocationAwareCompiler
 from repro.obs import Telemetry, build_manifest
 from repro.sim.config import SystemConfig
