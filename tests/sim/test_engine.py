@@ -95,7 +95,7 @@ class TestObservations:
     def test_observed_mai_normalized(self):
         engine, schedules, _ = build_engine()
         engine.run([TripPlan(schedules=schedules, observe_label="x")])
-        for (nest, sid), entry in list(engine.observations["x"].items())[:10]:
+        for (_, sid), entry in list(engine.observations["x"].items())[:10]:
             mai = observed_affinity(sid, entry).mai
             assert mai is not None
             total = mai.sum()
