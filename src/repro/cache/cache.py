@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import compress, islice
-from typing import Dict
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class Cache:
             return victim_tag << self._line_bits
         return MISS
 
-    def bulk_cursor(self, addrs: np.ndarray, writes: np.ndarray) -> "BulkAccessCursor":
-        """Build a :class:`BulkAccessCursor` over a sequential access stream."""
-        return BulkAccessCursor(self, addrs, writes)
-
     def invalidate(self, addr: int) -> bool:
         """Drop a line if present; returns True if it was there."""
         tag = addr >> self._line_bits
@@ -144,78 +140,105 @@ class Cache:
 
 
 class BulkAccessCursor:
-    """Applies the hit portions of a sequential access stream in bulk.
+    """One core's whole cache walk over one chunk of its access stream.
 
-    The stream's line numbers and write flags are converted to Python lists
-    once; :meth:`consume_hits` then walks them with one tag/set probe per
-    same-line run instead of one :meth:`Cache.access` call per reference.
-    The resulting cache state -- stats, LRU recency, dirty bits -- is
-    exactly what issuing the same accesses one by one would leave behind:
+    The chunk's line numbers and write flags are converted to Python lists
+    once; :meth:`consume_hits` then walks them in stream order with one
+    tag/set probe per same-line run:
 
     * an access to the line the previous access touched needs no probe:
-      that line is resident and already most recently used, so the
-      scalar walk's ``move_to_end`` would be a no-op;
-    * accesses are replayed in stream order, so lines end up MRU-ordered by
-      their last access, as with a scalar walk;
-    * a line gets its dirty bit from any access that writes it.
+      that line is resident and already most recently used;
+    * any other hit moves its line to MRU, as :meth:`Cache.access` would;
+    * a miss is settled where it is found: the L1 evicts from and fills
+      the set just probed, and ``settle(core, paddr, is_write, victim)``
+      -- :meth:`repro.cache.hierarchy.CacheHierarchy._settle_miss`, the
+      same step the scalar walk takes -- settles everything below the L1
+      and returns the miss's walk tuple.
 
-    The cursor stops *before* the first access whose line is not resident:
-    that access is a guaranteed miss (hits never change residency) and must
-    be replayed through the owner's scalar path, after which
-    :meth:`advance_miss` re-synchronizes the cursor.  The next
-    :meth:`consume_hits` probes the just-filled line again, which simply
-    succeeds.
+    The hits between two misses leave every line resident, so their
+    writes set dirty bits just before the next miss (which may evict one
+    of those lines) or at the end; setting a value keeps LRU order.  The
+    L1's access and hit counts are added once per chunk.  The cache state
+    this leaves -- stats, LRU recency, dirty bits, LLC and directory --
+    is exactly what issuing the same accesses one by one would leave.
     """
 
-    __slots__ = ("_cache", "_tags", "_writes", "pos")
+    __slots__ = ("_cache", "_core", "_settle", "_tags", "_writes", "_paddrs",
+                 "paddrs")
 
-    def __init__(self, cache: Cache, addrs: np.ndarray, writes: np.ndarray):
+    def __init__(
+        self,
+        cache: Cache,
+        core: int,
+        paddrs: np.ndarray,
+        writes: np.ndarray,
+        settle: Callable[[int, int, bool, int], Tuple],
+    ):
         self._cache = cache
-        self._tags = (addrs >> cache._line_bits).tolist()
+        self._core = core
+        self._settle = settle
+        self._tags = (paddrs >> cache._line_bits).tolist()
         writes = writes.tolist()
         self._writes = writes if True in writes else None
-        self.pos = 0
+        self._paddrs = paddrs
+        self.paddrs: Optional[List[int]] = None
+        """The chunk's physical addresses by stream position, as a list
+        once :meth:`consume_hits` has met a miss."""
 
-    def consume_hits(self) -> int:
-        """Apply hits from the cursor up to the next L1 miss (or the end).
+    def consume_hits(self) -> List[Tuple[int, Tuple]]:
+        """Apply the whole chunk to the caches; returns its L1 misses.
 
-        Returns the number of accesses consumed; ``pos`` advances past
-        them.  A return of 0 with ``pos < len(stream)`` means the access
-        at ``pos`` misses.
+        Each miss is ``(pos, walk)``: its stream position and the
+        ``(bank, llc_hit, llc_victim, forward, invalidate)`` tuple
+        :meth:`repro.cache.hierarchy.CacheHierarchy.access` would have
+        returned for it.
         """
         cache = self._cache
         sets = cache._sets
         mask = cache._set_mask
         tags = self._tags
-        start = self.pos
-        end = len(tags)
+        writes = self._writes
+        paddrs = self.paddrs
+        settle = self._settle
+        core = self._core
+        misses: List[Tuple[int, Tuple]] = []
+        start = 0  # the first access after the previous miss
         last = -1  # line numbers are >= 0
-        for tag in islice(tags, start, None):
+        for tag in tags:
             if tag == last:
                 continue
-            lineset = sets.get(tag & mask)
-            if lineset is None or tag not in lineset:
-                # Every earlier access of this walk hit, so this line does
-                # not occur before the miss: its first index is the miss.
-                end = tags.index(tag, start)
-                break
-            lineset.move_to_end(tag)
             last = tag
-        self.pos = end
-        hits = end - start
-        if hits:
-            writes = self._writes
+            lines = sets.get(tag & mask)
+            if lines is not None and tag in lines:
+                lines.move_to_end(tag)
+                continue
+            # Every access since the previous miss hit, so this line does
+            # not occur among them: its first index after that miss is
+            # this access.
+            pos = tags.index(tag, start)
+            is_write = False
             if writes is not None:
-                # Every consumed line is still resident, so dirty bits can
-                # be set after the walk: setting a value keeps LRU order.
-                for pos in compress(range(start, end), writes[start:end]):
-                    tag = tags[pos]
-                    sets[tag & mask][tag] = True
-            stats = cache.stats
-            stats.accesses += hits
-            stats.hits += hits
-        return hits
+                if pos > start:
+                    _mark_dirty(sets, mask, tags, writes, start, pos)
+                is_write = writes[pos]
+            if paddrs is None:
+                paddrs = self.paddrs = self._paddrs.tolist()
+            if lines is None:
+                lines = sets[tag & mask] = OrderedDict()
+            victim = cache._evict(lines)
+            lines[tag] = is_write
+            misses.append((pos, settle(core, paddrs[pos], is_write, victim)))
+            start = pos + 1
+        if writes is not None:
+            _mark_dirty(sets, mask, tags, writes, start, len(tags))
+        stats = cache.stats
+        stats.accesses += len(tags)
+        stats.hits += len(tags) - len(misses)
+        return misses
 
-    def advance_miss(self) -> None:
-        """Step over one access that was replayed through the scalar path."""
-        self.pos += 1
+
+def _mark_dirty(sets, mask, tags, writes, start, end) -> None:
+    """Set the dirty bit of each write in ``[start, end)``, a run of hits."""
+    for pos in compress(range(start, end), writes[start:end]):
+        tag = tags[pos]
+        sets[tag & mask][tag] = True

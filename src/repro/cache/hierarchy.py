@@ -57,6 +57,9 @@ class CacheHierarchy:
         ]
         self._directory = Directory()
         self._llc_line_mask = ~(l2_config.line_bytes - 1)
+        self._l1_offsets = tuple(
+            range(0, l2_config.line_bytes, l1_config.line_bytes)
+        )
 
     # ------------------------------------------------------------------
     def l1(self, node: int) -> Cache:
@@ -84,22 +87,34 @@ class CacheHierarchy:
         bank consulted, whether it had the line, the base address of a
         dirty line it evicted (-1 for none), the L1 holding a dirty copy
         that forwards the data (-1 for none), and the sorted nodes whose
-        copies a write invalidates.
+        copies a write invalidated.  Every cache-state change of the
+        access is made here; :meth:`repro.sim.machine.Manycore.access`
+        only times it.  This is the reference engine's walk;
+        :meth:`l1_bulk_cursor` settles a whole chunk the same way.
         """
         l1_victim = self._l1s[core].access(paddr, is_write)
         if l1_victim == HIT:
             return None
-        # L1 miss: consult the home bank.
+        return self._settle_miss(core, paddr, is_write, l1_victim)
+
+    def _settle_miss(
+        self, core: int, paddr: int, is_write: bool, l1_victim: int
+    ) -> Tuple[int, bool, int, int, Tuple[int, ...]]:
+        """Everything below the L1 for one L1 miss that already filled
+        the requester's L1 (evicting ``l1_victim``, a dirty line's base
+        address or -1): home bank, LLC, directory, the dirty victim's
+        write-down, and dropping remote L1 copies on a write."""
         bank = self.snuca.home_bank(paddr, core)
         llc_victim = self._llcs[bank].access(paddr, is_write)
         llc_hit = llc_victim == HIT
         if llc_hit:
             llc_victim = -1
         line_mask = self._llc_line_mask
+        line = paddr & line_mask
         if is_write:
-            forward, invalidate = self._directory.write(paddr & line_mask, core)
+            forward, invalidate = self._directory.write(line, core)
         else:
-            forward = self._directory.read(paddr & line_mask, core)
+            forward = self._directory.read(line, core)
             invalidate = ()
         # The L1 dirty victim is written down into its own home bank; the
         # machine charges the traffic, here we just keep state coherent.
@@ -107,22 +122,30 @@ class CacheHierarchy:
             victim_bank = self.snuca.home_bank(l1_victim, core)
             self._llcs[victim_bank].fill(l1_victim, dirty=True)
             self._directory.evict(l1_victim & line_mask, core)
+        # One LLC line can cover several (smaller) L1 lines; a write drops
+        # them all from every remote sharer.
+        for node in invalidate:
+            l1 = self._l1s[node]
+            for offset in self._l1_offsets:
+                l1.invalidate(line + offset)
         return bank, llc_hit, llc_victim, forward, invalidate
 
     def l1_bulk_cursor(
         self, core: int, paddrs: np.ndarray, writes: np.ndarray
     ) -> BulkAccessCursor:
-        """Batched L1-hit pre-filter over ``core``'s next access stream.
+        """The fast engine's cache walk over one chunk of ``core``'s stream.
 
-        An L1 hit touches nothing below the L1 (no home bank, no directory
-        traffic), so the batched filter only needs the core's own L1: each
-        access the cursor consumes is exactly one :meth:`access` would have
-        answered with ``None``, with its stats/LRU/dirty effects applied.
-        The access the cursor stops at is a guaranteed L1 miss and must be
-        replayed through scalar :meth:`access` (then ``advance_miss``-ed
-        past).
+        :meth:`BulkAccessCursor.consume_hits` applies every access of the
+        chunk in stream order -- hits in ``core``'s L1, and each miss
+        through :meth:`_settle_miss` like :meth:`access` -- and returns
+        the misses.  Nothing in this package reads time, and only the
+        issuing core runs during its chunk, so settling the whole chunk
+        before the machine times its misses leaves the same state as
+        interleaving the two access by access.
         """
-        return self._l1s[core].bulk_cursor(paddrs, writes)
+        return BulkAccessCursor(
+            self._l1s[core], core, paddrs, writes, self._settle_miss
+        )
 
     # ------------------------------------------------------------------
     def aggregate_l1_stats(self) -> Tuple[int, int]:

@@ -88,11 +88,11 @@ class SystemConfig:
     # Execution model: fraction of a memory stall hidden by MLP/OoO overlap.
     stall_overlap: float = 0.7
 
-    # Engine implementation: "fast" consumes each chunk's L1-hit runs with a
-    # bulk cursor over Python lists (behaviour-identical to the scalar
-    # model, enforced by the differential suite in
-    # tests/sim/test_engine_equivalence.py); "reference" forces the
-    # original per-access scalar walk.
+    # Engine implementation: "fast" settles each chunk's cache behaviour in
+    # one cursor pass and times only its misses (behaviour-identical to
+    # the scalar model, enforced by the differential suite in
+    # tests/sim/test_engine_equivalence.py); "reference" walks and times
+    # every access one by one.
     engine_mode: str = "fast"
 
     def __post_init__(self) -> None:

@@ -69,16 +69,17 @@ class ExecutionEngine:
     ``mode`` selects the execution implementation:
 
     * ``"fast"`` (default) -- batched fast path: per chunk, addresses are
-      translated in bulk and the L1-hit majority is consumed by the issuing
-      core's :class:`~repro.cache.cache.BulkAccessCursor`, one probe per
-      same-line run and no walk through the machine per reference; only L1
-      misses (the accesses that generate NoC/MC traffic) take the scalar
-      :meth:`Manycore.access` walk.  Behaviour-identical to the
+      translated in bulk, the issuing core's
+      :class:`~repro.cache.cache.BulkAccessCursor` settles the chunk's
+      whole cache behaviour in one pass (at most one L1 probe per access),
+      and only the L1 misses (the accesses that generate NoC/MC traffic)
+      are timed by :meth:`Manycore.access`.  Behaviour-identical to the
       reference path -- same ``RunStats``, same observation tables, same
       packet injection times -- which ``tests/sim/test_engine_equivalence.py``
       enforces across the config matrix.
-    * ``"reference"`` -- the original one-``access``-call-per-reference
-      scalar model.
+    * ``"reference"`` -- per reference, one scalar translation, one
+      :meth:`~repro.cache.hierarchy.CacheHierarchy.access` and one
+      :meth:`Manycore.access`.
 
     When unspecified, the mode follows ``machine.config.engine_mode``.
     """
@@ -254,8 +255,12 @@ class ExecutionEngine:
         stats: RunStats,
         observed: Optional[ObservedSet],
     ) -> int:
-        """Scalar reference model: one machine access per reference."""
-        machine_access = self.machine.access
+        """Scalar reference model: per reference, one translation, one
+        hierarchy walk and one machine access."""
+        machine = self.machine
+        translate = machine.translation.translate
+        hierarchy_access = machine.hierarchy.access
+        machine_access = machine.access
         addresses = trace.addresses
         writes = trace.writes
         n_refs = trace.refs_per_iteration
@@ -271,9 +276,9 @@ class ExecutionEngine:
             t += compute
             row = addresses[k]
             for r in range(n_refs):
-                completion, mc, bank = machine_access(
-                    core, int(row[r]), bool(writes[r]), t
-                )
+                paddr = translate(int(row[r]))
+                walk = hierarchy_access(core, paddr, bool(writes[r]))
+                completion, mc, bank = machine_access(core, paddr, walk, t)
                 if bank < 0:  # L1 hit
                     t = completion
                 else:
@@ -298,66 +303,62 @@ class ExecutionEngine:
         stats: RunStats,
         observed: Optional[ObservedSet],
     ) -> int:
-        """Batched fast path: bulk L1-hit runs, scalar misses.
+        """Batched fast path: one cache pass, then the misses' timing.
 
-        Time bookkeeping is closed-form over each hit run: ``compute`` is
-        charged once per iteration boundary crossed and ``l1_latency`` once
-        per hit, which is exactly what the reference loop accumulates for
-        the same accesses.  Misses are replayed through the scalar machine
-        walk at the very cycle the reference model would issue them, so
-        network contention, DRAM timing and observation accounting are
+        The chunk's cache behaviour is settled first, in one
+        :meth:`~repro.cache.cache.BulkAccessCursor.consume_hits` pass;
+        only the issuing core runs during its chunk and no cache state
+        depends on time, so this is the state the reference loop reaches.
+        Time is closed-form between misses: ``compute`` is charged once
+        per iteration start and ``l1_latency`` once per hit, which is
+        exactly what the reference loop accumulates for the same
+        accesses.  Each miss is then timed by :meth:`Manycore.access` at
+        the very cycle the reference model would issue it, so network
+        contention, DRAM timing and observation accounting are
         bit-identical.
         """
         machine = self.machine
-        machine_access = machine.access
         l1_latency = machine.config.l1_latency
         n_refs = trace.refs_per_iteration
         lo = k * n_refs
         hi = limit * n_refs
-        vaddrs = trace.flat_addresses[lo:hi]
-        writes = trace.flat_writes[lo:hi]
         # One bulk translation per chunk, in stream order (first-touch
         # faults happen as the scalar walk would trigger them).
-        paddrs = machine.translate_batch(vaddrs)
+        paddrs = machine.translate_batch(trace.flat_addresses[lo:hi])
         if self._spatial is not None:
             # Spatial telemetry rides the batched stream natively: one
             # bincount per chunk.
             self._record_touches(core, paddrs)
-        cursor = machine.hierarchy.l1_bulk_cursor(core, paddrs, writes)
-        # Misses read the chunk by position from plain lists, converted at
-        # the chunk's first miss: no numpy scalar is converted per miss.
-        vaddr_list = write_list = None
-        total = hi - lo
-        pos = 0
+        cursor = machine.hierarchy.l1_bulk_cursor(
+            core, paddrs, trace.flat_writes[lo:hi]
+        )
+        misses = cursor.consume_hits()
+        machine_access = machine.access
+        paddr_list = cursor.paddrs
+        # ``prev`` is the first position not yet timed; the positions in
+        # [prev, pos] that start an iteration are those divisible by n_refs.
+        prev = 0
         stalled = 0
-        while pos < total:
-            hits = cursor.consume_hits()
-            if hits:
-                end = pos + hits
-                # Iteration boundaries crossed = indices in [pos, end) that
-                # start an iteration (flat index divisible by n_refs).
-                starts = (end - 1) // n_refs - (pos - 1) // n_refs
-                t += starts * compute + hits * l1_latency
-                pos = end
-                if pos >= total:
-                    break
-            if pos % n_refs == 0:
-                t += compute
-            # The cursor stopped here, so this access misses in the L1.
-            if vaddr_list is None:
-                vaddr_list = vaddrs.tolist()
-                write_list = writes.tolist()
+        for pos, walk in misses:
+            t += (
+                (pos // n_refs - (prev - 1) // n_refs) * compute
+                + (pos - prev) * l1_latency
+            )
             completion, mc, bank = machine_access(
-                core, vaddr_list[pos], write_list[pos], t
+                core, paddr_list[pos], walk, t
             )
             charged = int((completion - t) * overlap)
             t += charged
             stalled += charged
             if observed is not None:
                 observed.record(mc, bank)
-            cursor.advance_miss()
-            pos += 1
+            prev = pos + 1
         stats.memory_stall_cycles += stalled
+        total = hi - lo
+        t += (
+            ((total - 1) // n_refs - (prev - 1) // n_refs) * compute
+            + (total - prev) * l1_latency
+        )
         stats.iterations_executed += limit - k
         return t
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cache import HIT, MISS, Cache
+from repro.cache.cache import HIT, MISS, BulkAccessCursor, Cache
 
 
 def make_cache(size=1024, assoc=2, line=64):
@@ -135,25 +135,32 @@ class TestProperties:
 
 
 # ---------------------------------------------------------------------------
-# BulkAccessCursor: the batched L1-hit fast path must leave the cache in
-# exactly the state a scalar access-by-access walk would.
+# BulkAccessCursor: one pass over a chunk must leave the L1 in exactly the
+# state a scalar access-by-access walk would, and hand the level below the
+# same misses, in order, with the same victims.
 # ---------------------------------------------------------------------------
 
+def record_miss(core, paddr, is_write, victim):
+    """Stand-in for the hierarchy's miss step: echoes what it was given."""
+    return paddr, is_write, victim
+
+
 def drive_bulk(cache, addrs, writes):
-    """Run a stream through the cursor, replaying misses scalar-style."""
-    addrs = np.asarray(addrs, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    cursor = cache.bulk_cursor(addrs, writes)
-    n = len(addrs)
+    """Run a stream through one cursor pass; returns its miss records."""
+    cursor = BulkAccessCursor(
+        cache, 0, np.asarray(addrs, dtype=np.int64),
+        np.asarray(writes, dtype=bool), record_miss,
+    )
+    return cursor.consume_hits()
+
+
+def drive_scalar(cache, addrs, writes):
+    """The same stream through :meth:`Cache.access`, as miss records."""
     misses = []
-    while cursor.pos < n:
-        before = cursor.pos
-        assert cursor.consume_hits() == cursor.pos - before >= 0
-        if cursor.pos >= n:
-            break
-        misses.append(cursor.pos)
-        cache.access(int(addrs[cursor.pos]), is_write=bool(writes[cursor.pos]))
-        cursor.advance_miss()
+    for pos, (addr, w) in enumerate(zip(addrs, writes)):
+        result = cache.access(addr, is_write=w)
+        if result != HIT:
+            misses.append((pos, (addr, w, result)))
     return misses
 
 
@@ -171,46 +178,47 @@ def stats_tuple(cache):
     return (s.accesses, s.hits, s.evictions, s.dirty_evictions)
 
 
+def assert_matches_scalar(addrs, writes, **geometry):
+    scalar = make_cache(**geometry)
+    expected = drive_scalar(scalar, addrs, writes)
+    bulk = make_cache(**geometry)
+    assert drive_bulk(bulk, addrs, writes) == expected
+    assert stats_tuple(bulk) == stats_tuple(scalar)
+    assert full_state(bulk) == full_state(scalar)
+    return expected
+
+
 class TestBulkCursor:
     def test_empty_stream(self):
         c = make_cache()
-        cursor = c.bulk_cursor(np.array([], dtype=np.int64), np.array([], dtype=bool))
-        assert cursor.consume_hits() == 0
+        assert drive_bulk(c, [], []) == []
         assert c.stats.accesses == 0
 
     def test_cold_stream_stops_at_every_line(self):
         c = make_cache()
-        addrs = [0, 64, 128]
-        misses = drive_bulk(c, addrs, [False] * 3)
-        assert misses == [0, 1, 2]
+        misses = drive_bulk(c, [0, 64, 128], [False] * 3)
+        assert [pos for pos, _ in misses] == [0, 1, 2]
         assert c.stats.misses == 3
 
     def test_warm_stream_consumed_without_stopping(self):
         c = make_cache(size=2048, assoc=4, line=64)
-        addrs = [0, 64, 0, 64, 0]
-        drive_bulk(c, addrs, [False] * 5)
-        c2 = make_cache(size=2048, assoc=4, line=64)
-        cursor = c2.bulk_cursor(
-            np.array(addrs, dtype=np.int64), np.zeros(5, dtype=bool)
-        )
-        c2.access(0)
-        cursor.advance_miss()
-        c2.access(64)
-        # everything after the two cold misses is resident: one bulk call.
-        cursor.consume_hits()  # pos was 1, access at 1 missed -> replayed above
-        assert cursor.pos >= 1
+        misses = drive_bulk(c, [0, 64, 0, 64, 0], [False] * 5)
+        assert [pos for pos, _ in misses] == [0, 1]
+        # A second chunk over resident lines is all hits.
+        assert drive_bulk(c, [0, 64, 0], [False] * 3) == []
+        assert (c.stats.accesses, c.stats.hits) == (8, 6)
 
     def test_line_evicted_since_its_first_use_misses_again(self):
         """Direct-mapped: 0 and 64 share a set, so the second use of 0 is a
-        miss at its own position, not at the line's first one."""
-        addrs, writes = [0, 8, 64, 0], [False, True, False, False]
-        scalar = make_cache(size=64, assoc=1, line=32)
-        for addr, w in zip(addrs, writes):
-            scalar.access(addr, is_write=w)
-        bulk = make_cache(size=64, assoc=1, line=32)
-        assert drive_bulk(bulk, addrs, writes) == [0, 2, 3]
-        assert stats_tuple(bulk) == stats_tuple(scalar)
-        assert full_state(bulk) == full_state(scalar)
+        miss at its own position, not at the line's first one; the write
+        hit at 8 makes line 0 a dirty victim of the miss at 64."""
+        misses = assert_matches_scalar(
+            [0, 8, 64, 0], [False, True, False, False],
+            size=64, assoc=1, line=32,
+        )
+        assert misses == [
+            (0, (0, False, MISS)), (2, (64, False, 0)), (3, (0, False, MISS)),
+        ]
 
     def test_run_write_sets_dirty(self):
         c = make_cache()
@@ -231,17 +239,7 @@ class TestBulkCursor:
                 st.booleans(), min_size=len(addrs), max_size=len(addrs)
             )
         )
-        scalar = make_cache(size=512, assoc=2, line=32)
-        for addr, w in zip(addrs, writes):
-            scalar.access(addr, is_write=w)
-
-        bulk = make_cache(size=512, assoc=2, line=32)
-        misses = drive_bulk(bulk, addrs, writes)
-
-        assert stats_tuple(bulk) == stats_tuple(scalar)
-        assert full_state(bulk) == full_state(scalar)
-        # Every stream position the cursor stopped at truly missed.
-        assert len(misses) == scalar.stats.misses
+        assert_matches_scalar(addrs, writes, size=512, assoc=2, line=32)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=25)
@@ -249,30 +247,17 @@ class TestBulkCursor:
         """Streams with long same-line runs (the fast path's sweet spot)."""
         rng = np.random.default_rng(seed)
         base = rng.integers(0, 64, size=40)
-        addrs = np.repeat(base * 32, rng.integers(1, 12, size=40)).astype(np.int64)
+        addrs = np.repeat(base * 32, rng.integers(1, 12, size=40))
         writes = rng.random(len(addrs)) < 0.3
-
-        scalar = make_cache(size=1024, assoc=4, line=32)
-        for addr, w in zip(addrs.tolist(), writes.tolist()):
-            scalar.access(addr, is_write=w)
-        bulk = make_cache(size=1024, assoc=4, line=32)
-        drive_bulk(bulk, addrs, writes)
-
-        assert stats_tuple(bulk) == stats_tuple(scalar)
-        assert full_state(bulk) == full_state(scalar)
+        assert_matches_scalar(
+            addrs.tolist(), writes.tolist(), size=1024, assoc=4, line=32
+        )
 
     def test_interleaved_invalidation_is_safe(self):
-        """A line invalidated mid-stream is re-detected as a miss."""
+        """A line invalidated between chunks misses in the next one."""
         c = make_cache(size=2048, assoc=4, line=64)
-        addrs = np.array([0, 0, 0, 0], dtype=np.int64)
-        writes = np.zeros(4, dtype=bool)
-        cursor = c.bulk_cursor(addrs, writes)
-        assert cursor.consume_hits() == 0  # cold
-        c.access(0)
-        cursor.advance_miss()
-        # The rest of the run is resident now: consumed in one call.
-        assert cursor.consume_hits() == 3
-        # An invalidation between chunks makes the next cursor stop cold.
+        addrs, writes = [0, 0, 0, 0], [False] * 4
+        assert [pos for pos, _ in drive_bulk(c, addrs, writes)] == [0]
         c.invalidate(0)
-        cursor2 = c.bulk_cursor(addrs, writes)
-        assert cursor2.consume_hits() == 0  # not resident -> guaranteed miss
+        assert [pos for pos, _ in drive_bulk(c, addrs, writes)] == [0]
+        assert (c.stats.accesses, c.stats.hits) == (8, 6)

@@ -1,8 +1,13 @@
 """Two-level hierarchy walk: outcomes, victims, coherence wiring.
 
 ``CacheHierarchy.access`` returns ``None`` on an L1 hit and otherwise
-``(bank, llc_hit, llc_victim, forward, invalidate)``.
+``(bank, llc_hit, llc_victim, forward, invalidate)``; the fast engine's
+one-pass chunk walk must produce the same misses and the same state.
 """
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.hierarchy import CacheConfig, CacheHierarchy
 from repro.cache.snuca import LLCOrganization, SnucaMapper
@@ -96,3 +101,77 @@ class TestVictims:
         h.access(0, 1024, True)
         outcome = h.access(0, 36 * 2048, True)  # same bank, same set
         assert outcome[2] in (0, 1024)  # address 0 is a valid victim
+
+
+class TestChunkPassMatchesScalarWalk:
+    """``l1_bulk_cursor(...).consume_hits()`` chunk by chunk against
+    scalar ``access`` on caches small enough that evictions, dirty
+    victims, owner forwards and invalidations all occur."""
+
+    TINY_L1 = CacheConfig(size_bytes=128, assoc=2, line_bytes=32)
+    TINY_L2 = CacheConfig(size_bytes=256, assoc=2, line_bytes=64)
+
+    def tiny_hierarchy(self, organization):
+        dist = DataDistribution(
+            num_mcs=2, num_llc_banks=4, layout=LAYOUT,
+            bank_granularity=Granularity.CACHE_LINE,
+        )
+        snuca = SnucaMapper(
+            mesh=Mesh2D(2, 2), distribution=dist, organization=organization
+        )
+        return CacheHierarchy(
+            4, snuca, l1_config=self.TINY_L1, l2_config=self.TINY_L2
+        )
+
+    @staticmethod
+    def contents(cache):
+        return {
+            idx: list(lines.items())
+            for idx, lines in cache._sets.items()
+            if lines
+        }
+
+    @staticmethod
+    def stats(cache):
+        s = cache.stats
+        return (s.accesses, s.hits, s.evictions, s.dirty_evictions)
+
+    chunks = st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.lists(
+                st.tuples(st.integers(0, 127), st.booleans()),
+                min_size=1, max_size=24,
+            ),
+        ),
+        min_size=1, max_size=12,
+    )
+
+    @pytest.mark.parametrize(
+        "organization", [LLCOrganization.SHARED, LLCOrganization.PRIVATE]
+    )
+    @given(chunks=chunks)
+    @settings(max_examples=60, deadline=None)
+    def test_same_misses_and_state(self, organization, chunks):
+        bulk = self.tiny_hierarchy(organization)
+        scalar = self.tiny_hierarchy(organization)
+        for core, stream in chunks:
+            paddrs = [word * 8 for word, _ in stream]
+            writes = [w for _, w in stream]
+            expected = []
+            for pos, (paddr, w) in enumerate(zip(paddrs, writes)):
+                walk = scalar.access(core, paddr, w)
+                if walk is not None:
+                    expected.append((pos, walk))
+            cursor = bulk.l1_bulk_cursor(
+                core, np.array(paddrs, dtype=np.int64),
+                np.array(writes, dtype=bool),
+            )
+            assert cursor.consume_hits() == expected
+        for node in range(4):
+            for a, b in ((bulk.l1(node), scalar.l1(node)),
+                         (bulk.llc(node), scalar.llc(node))):
+                assert self.contents(a) == self.contents(b)
+                assert self.stats(a) == self.stats(b)
+        assert bulk.directory._entries == scalar.directory._entries
+        assert bulk.directory.stats == scalar.directory.stats

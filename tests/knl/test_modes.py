@@ -107,7 +107,10 @@ class TestKnlConfig:
 
     def test_machine_buildable(self):
         from repro.sim.machine import Manycore
+        from tests.sim.test_machine import run_access
 
         machine = Manycore(knl_config(ClusterMode.SNC4))
-        completion, _, _ = machine.access(core=0, vaddr=0, is_write=False, time=0)
+        completion, _, _ = run_access(
+            machine, core=0, vaddr=0, is_write=False, time=0
+        )
         assert completion > 0

@@ -10,6 +10,14 @@ from repro.sim.machine import Manycore
 from repro.sim.stats import RunStats
 
 
+def run_access(machine, core, vaddr, is_write, time):
+    """One access the way the reference engine issues it: translate, walk
+    the hierarchy, then time the walk on the machine."""
+    paddr = machine.translation.translate(vaddr)
+    walk = machine.hierarchy.access(core, paddr, is_write)
+    return machine.access(core, paddr, walk, time)
+
+
 def make_machine(**overrides):
     cfg = DEFAULT_CONFIG.with_updates(
         network_model=NetworkModel.WORMHOLE, **overrides
@@ -20,9 +28,11 @@ def make_machine(**overrides):
 class TestL1Path:
     def test_l1_hit_costs_l1_latency_and_no_packets(self):
         m = make_machine()
-        m.access(core=0, vaddr=0, is_write=False, time=0)
+        run_access(m, core=0, vaddr=0, is_write=False, time=0)
         packets_before = m.network.stats.packets
-        completion, mc, bank = m.access(core=0, vaddr=0, is_write=False, time=100)
+        completion, mc, bank = run_access(
+            m, core=0, vaddr=0, is_write=False, time=100
+        )
         assert (mc, bank) == (-1, -1)
         assert completion == 100 + m.config.l1_latency
         assert m.network.stats.packets == packets_before
@@ -32,12 +42,12 @@ class TestSharedPath:
     def test_remote_llc_hit_round_trip(self):
         m = make_machine()
         addr = 9 * 2048  # page 9 -> bank 9 (page-granular banks)
-        m.access(core=0, vaddr=addr, is_write=False, time=0)  # warm LLC
+        run_access(m, core=0, vaddr=addr, is_write=False, time=0)  # warm LLC
         # Evict from core 0's L1 by conflicting lines, then re-access from
         # another core: must be an LLC hit served remotely.
         latency_before = m.network.stats.total_latency
-        completion, mc, bank = m.access(
-            core=20, vaddr=addr, is_write=False, time=1000
+        completion, mc, bank = run_access(
+            m, core=20, vaddr=addr, is_write=False, time=1000
         )
         assert bank == 9
         assert mc == -1  # served on chip
@@ -51,9 +61,9 @@ class TestSharedPath:
     def test_local_bank_hit_has_no_network(self):
         m = make_machine()
         addr = 9 * 2048
-        m.access(core=9, vaddr=addr, is_write=False, time=0)
-        completion, mc, bank = m.access(
-            core=9, vaddr=addr + 64, is_write=False, time=500
+        run_access(m, core=9, vaddr=addr, is_write=False, time=0)
+        completion, mc, bank = run_access(
+            m, core=9, vaddr=addr + 64, is_write=False, time=500
         )
         # Same page -> same local bank; L1 missed (different line).
         assert bank == 9
@@ -64,15 +74,15 @@ class TestSharedPath:
     def test_llc_miss_reaches_correct_mc(self):
         m = make_machine()
         addr = 2 * 2048  # page 2 -> MC2
-        _, mc, _ = m.access(core=0, vaddr=addr, is_write=False, time=0)
+        _, mc, _ = run_access(m, core=0, vaddr=addr, is_write=False, time=0)
         assert mc == 2
         assert m.mcs[2].stats.requests == 1
 
     def test_miss_latency_exceeds_hit_latency(self):
         m = make_machine()
         addr = 5 * 2048
-        cold = m.access(core=0, vaddr=addr, is_write=False, time=0)
-        warm = m.access(core=18, vaddr=addr, is_write=False, time=10_000)
+        cold = run_access(m, core=0, vaddr=addr, is_write=False, time=0)
+        warm = run_access(m, core=18, vaddr=addr, is_write=False, time=10_000)
         cold_latency = cold[0] - 0
         warm_latency = warm[0] - 10_000
         assert cold_latency > warm_latency
@@ -81,25 +91,25 @@ class TestSharedPath:
 class TestPrivatePath:
     def test_home_bank_is_requester(self):
         m = make_machine(llc_organization=LLCOrganization.PRIVATE)
-        _, _, bank = m.access(core=7, vaddr=9 * 2048, is_write=False, time=0)
+        _, _, bank = run_access(m, core=7, vaddr=9 * 2048, is_write=False, time=0)
         assert bank == 7
 
     def test_llc_hit_stays_off_network(self):
         m = make_machine(llc_organization=LLCOrganization.PRIVATE)
         addr = 0
-        m.access(core=7, vaddr=addr, is_write=False, time=0)
+        run_access(m, core=7, vaddr=addr, is_write=False, time=0)
         # Conflict line out of L1 (L1 is 2KB/8-way/32B -> 8 sets, 256B apart)
         for k in range(1, 9):
-            m.access(core=7, vaddr=addr + k * 256, is_write=False, time=k)
+            run_access(m, core=7, vaddr=addr + k * 256, is_write=False, time=k)
         packets_before = m.network.stats.packets
-        _, mc, bank = m.access(core=7, vaddr=addr, is_write=False, time=1000)
+        _, mc, bank = run_access(m, core=7, vaddr=addr, is_write=False, time=1000)
         if bank >= 0 and mc < 0:  # L1 miss, LLC hit
             assert m.network.stats.packets == packets_before
 
     def test_each_core_has_own_bank(self):
         m = make_machine(llc_organization=LLCOrganization.PRIVATE)
-        m.access(core=3, vaddr=0, is_write=False, time=0)
-        _, mc, bank = m.access(core=4, vaddr=0, is_write=False, time=100)
+        run_access(m, core=3, vaddr=0, is_write=False, time=0)
+        _, mc, bank = run_access(m, core=4, vaddr=0, is_write=False, time=100)
         # Core 4 never saw this line: its own LLC cannot hit, so it goes
         # to memory -- MC 0, which is a real MC, not "none".
         assert bank == 4
@@ -110,11 +120,11 @@ class TestCoherenceTraffic:
     def test_write_invalidates_remote_l1_copies(self):
         m = make_machine()
         addr = 0
-        m.access(core=1, vaddr=addr, is_write=False, time=0)
-        m.access(core=2, vaddr=addr, is_write=False, time=10)
-        m.access(core=3, vaddr=addr, is_write=True, time=1000)
+        run_access(m, core=1, vaddr=addr, is_write=False, time=0)
+        run_access(m, core=2, vaddr=addr, is_write=False, time=10)
+        run_access(m, core=3, vaddr=addr, is_write=True, time=1000)
         # Remote copies are gone: core 1 re-reads and misses its L1.
-        _, _, bank = m.access(core=1, vaddr=addr, is_write=False, time=2000)
+        _, _, bank = run_access(m, core=1, vaddr=addr, is_write=False, time=2000)
         assert bank >= 0  # an L1 miss
 
 
@@ -122,7 +132,7 @@ class TestIdealNetwork:
     def test_zero_network_latency(self):
         cfg = DEFAULT_CONFIG.ideal_network()
         m = Manycore(cfg)
-        m.access(core=0, vaddr=9 * 2048, is_write=False, time=0)
+        run_access(m, core=0, vaddr=9 * 2048, is_write=False, time=0)
         assert m.network.stats.packets > 0
         assert m.network.stats.total_latency == 0
 
@@ -131,7 +141,7 @@ class TestStatsPlumbing:
     def test_fill_stats(self):
         m = make_machine()
         for k in range(20):
-            m.access(core=k % 4, vaddr=k * 2048, is_write=False, time=k * 50)
+            run_access(m, core=k % 4, vaddr=k * 2048, is_write=False, time=k * 50)
         stats = RunStats()
         m.fill_stats(stats)
         assert stats.l1_accesses == 20
