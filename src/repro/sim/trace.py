@@ -1,19 +1,20 @@
 """Vectorized generation of per-iteration-set access streams.
 
 Evaluating affine index expressions iteration-by-iteration in Python is the
-dominant cost of simulation, so the trace generator lowers each (nest,
-iteration set) to numpy arrays once: ``addresses[k, r]`` is the virtual
-address of reference ``r`` at the set's ``k``-th iteration.  Affine
-references become closed-form array arithmetic; indirect references become
-one gather through the index-array contents.  The arrays are cached per
-program instance and shared by every run (baseline, optimized, sensitivity)
-over that instance.
+dominant cost of simulation, so the trace generator lowers each loop nest
+to numpy arrays once, over its whole linearized domain:
+``addresses[i, r]`` is the virtual address of reference ``r`` at the
+nest's ``i``-th iteration.  Affine references become closed-form array
+arithmetic; indirect references become one gather through the index-array
+contents.  Iteration sets are consecutive ``[start, stop)`` ranges, so
+each set's trace is a row slice (a view) of its nest's arrays.  A
+:class:`ProgramTrace` caches the arrays for the trips of the runs it
+serves; each ``run_workload`` builds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -103,12 +104,16 @@ class SetTrace:
     """The access stream of one iteration set.
 
     ``addresses[k, r]``: address of reference ``r`` at local iteration ``k``.
-    ``writes[r]``: whether reference ``r`` stores.
+    ``writes[r]``: whether reference ``r`` stores.  ``flat_addresses`` and
+    ``flat_writes`` are the same stream in issue order, one entry per
+    access.  Every array is a view of the nest's arrays.
     """
 
     set_id: int
     addresses: np.ndarray
     writes: np.ndarray
+    flat_addresses: np.ndarray
+    flat_writes: np.ndarray
 
     @property
     def iterations(self) -> int:
@@ -118,19 +123,15 @@ class SetTrace:
     def refs_per_iteration(self) -> int:
         return self.addresses.shape[1]
 
-    @cached_property
-    def flat_addresses(self) -> np.ndarray:
-        """Row-major flattening of ``addresses`` (a view; issue order)."""
-        return np.ascontiguousarray(self.addresses).reshape(-1)
-
-    @cached_property
-    def flat_writes(self) -> np.ndarray:
-        """``writes`` tiled to match :attr:`flat_addresses` element-wise."""
-        return np.tile(self.writes, self.iterations)
-
 
 class ProgramTrace:
-    """Lazy per-(nest, set) trace cache for one program instance."""
+    """Per-nest trace arrays of one program instance, sliced per set.
+
+    A nest is evaluated at its first :meth:`set_trace`, whole: one set of
+    binding arrays, one address column per reference (bounds-checked
+    once, so an out-of-range access anywhere in the nest raises
+    ``IndexError`` there) and the flat issue-order vectors.
+    """
 
     def __init__(
         self,
@@ -139,6 +140,7 @@ class ProgramTrace:
     ):
         self.instance = instance
         self.iteration_sets = iteration_sets
+        self._nests: Dict[int, SetTrace] = {}
         self._cache: Dict[Tuple[int, int], SetTrace] = {}
 
     def set_trace(self, nest_index: int, iteration_set: IterationSet) -> SetTrace:
@@ -146,22 +148,36 @@ class ProgramTrace:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        trace = self._build(nest_index, iteration_set)
+        nest = self._nests.get(nest_index)
+        if nest is None:
+            nest = self._nests[nest_index] = self._build(nest_index)
+        start, stop = iteration_set.start, iteration_set.stop
+        refs = nest.refs_per_iteration
+        trace = SetTrace(
+            iteration_set.set_id,
+            nest.addresses[start:stop],
+            nest.writes,
+            nest.flat_addresses[start * refs:stop * refs],
+            nest.flat_writes[start * refs:stop * refs],
+        )
         self._cache[key] = trace
         return trace
 
-    def _build(self, nest_index: int, iteration_set: IterationSet) -> SetTrace:
+    def _build(self, nest_index: int) -> SetTrace:
+        """The whole nest's trace (``set_id`` -1)."""
         nest = self.instance.program.nests[nest_index]
         dom = self.instance.nest_domain(nest_index)
-        bindings = binding_arrays(dom, iteration_set.start, iteration_set.stop)
-        length = iteration_set.size
+        length = dom.size
+        bindings = binding_arrays(dom, 0, length)
         columns = [
             reference_addresses(ref, bindings, self.instance, length)
             for ref in nest.references
         ]
         addresses = np.stack(columns, axis=1)
         writes = np.array([ref.is_write for ref in nest.references], dtype=bool)
-        return SetTrace(iteration_set.set_id, addresses, writes)
+        return SetTrace(
+            -1, addresses, writes, addresses.reshape(-1), np.tile(writes, length)
+        )
 
     def total_accesses(self) -> int:
         """Accesses in one full pass over every nest (forces generation)."""

@@ -62,11 +62,16 @@ class TestTraceMatchesScalar:
             dom = inst.nest_domain(nest_index)
             for iteration_set in nest_sets:
                 st = trace.set_trace(nest_index, iteration_set)
+                n_refs = st.refs_per_iteration
+                assert len(st.flat_addresses) == iteration_set.size * n_refs
+                assert len(st.flat_writes) == len(st.flat_addresses)
                 for k, bindings in enumerate(iteration_set.iterations(dom)):
                     expected = inst.addresses_for(nest_index, bindings)
                     for r, (addr, is_write) in enumerate(expected):
                         assert st.addresses[k, r] == addr
                         assert st.writes[r] == is_write
+                        assert st.flat_addresses[k * n_refs + r] == addr
+                        assert st.flat_writes[k * n_refs + r] == is_write
 
     def test_trace_is_cached(self):
         inst = regular_program().instantiate()
@@ -91,6 +96,19 @@ class TestBoundsChecking:
         program = Program("bad", (nest,), default_params={"N": 10})
         inst = program.instantiate()
         sets = partition_all_nests(inst, set_fraction=1.0)
+        trace = ProgramTrace(inst, sets)
+        with pytest.raises(IndexError):
+            trace.set_trace(0, sets[0][0])
+
+    def test_later_set_out_of_bounds_fails_the_first_set_trace(self):
+        """A nest is evaluated whole, so an out-of-range access in its
+        last set fails the first set's trace."""
+        a = declare("A", N)
+        nest = nest_builder("bad").loop("i", 0, N).writes(a(I + 1)).build()
+        program = Program("bad", (nest,), default_params={"N": 40})
+        inst = program.instantiate()
+        sets = partition_all_nests(inst, set_fraction=0.25)
+        assert len(sets[0]) > 1 and sets[0][-1].stop == 40
         trace = ProgramTrace(inst, sets)
         with pytest.raises(IndexError):
             trace.set_trace(0, sets[0][0])
